@@ -13,8 +13,7 @@
 //! and the SimRank++ score is `evidence(u, v) · s(u, v)`. (The full
 //! SimRank++ also reweights edges of *weighted* click graphs; this
 //! workspace's graphs are unweighted, matching the SLING paper's model,
-//! so the evidence factor is the applicable part — the substitution is
-//! recorded in `DESIGN.md`.)
+//! so the evidence factor is the applicable part.)
 
 use sling_graph::{DiGraph, NodeId};
 

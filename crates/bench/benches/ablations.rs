@@ -1,5 +1,5 @@
 //! Ablation benchmarks for the §5 optimizations and the extension
-//! features, the design choices `DESIGN.md` §3 calls out:
+//! features:
 //!
 //! * space reduction (§5.2) on/off — query cost of recomputing step-1/2
 //!   HPs on the fly versus reading them from the index;

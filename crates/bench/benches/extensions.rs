@@ -1,6 +1,6 @@
 //! Benchmarks for the extension query types (top-k join, threshold join,
 //! dynamic updates, disk-resident queries) — features beyond the paper's
-//! evaluation, measured so EXPERIMENTS.md can report their costs.
+//! evaluation, with their costs measured.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use sling_bench::{params_for, sling_config};

@@ -600,8 +600,7 @@ fn fig10(opts: &Options) {
 
 /// `extensions` — measured costs of the features beyond the paper's
 /// evaluation (top-k strategies, similarity joins, dynamic maintenance,
-/// query cache, disk-resident queries). Feeds the "Extensions" section of
-/// EXPERIMENTS.md.
+/// query cache, disk-resident queries).
 fn extensions(opts: &Options) {
     use sling_core::cache::CachedQueries;
     use sling_core::dynamic::{DynamicConfig, DynamicSling, StalePolicy};

@@ -20,9 +20,8 @@ pub const C: f64 = 0.6;
 /// Per-tier experiment parameters.
 ///
 /// The Small tier uses the paper's exact setting (ε = 0.025). Larger
-/// tiers relax ε so the full harness finishes on a laptop — the
-/// substitution is documented in `EXPERIMENTS.md`; Theorem 1 still holds
-/// at the stated ε for every run.
+/// tiers relax ε so the full harness finishes on a laptop; Theorem 1
+/// still holds at the stated ε for every run.
 #[derive(Clone, Debug)]
 pub struct TierParams {
     /// SLING accuracy target.

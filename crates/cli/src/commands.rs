@@ -51,7 +51,8 @@ COMMANDS:
     mem              decode the whole index into memory (default)
     mmap             zero-copy memory-mapped reads from a SLNGIDX1 file
     mmap-compressed  block-decoded memory-mapped reads from a SLNGIDX2/3
-                     file (see compact), with a decoded-block cache
+                     file (see compact): small files keep every block
+                     decoded, larger ones decode only the entries read
     disk             positioned reads (any format) with an LRU buffer
                      pool (--buffer-entries N)
   All backends return identical scores (bit-identical for lossless files).

@@ -27,21 +27,32 @@
 //! boundaries are an encoder input rather than derived from the step
 //! column.
 //!
-//! The decoder validates everything: counts against the directory,
-//! run-length sums, node-id overflow, value-section length, and that the
-//! block's bytes are consumed exactly. Any violation is
-//! [`SlingError::CorruptIndex`]; no input may panic.
+//! Two decoders read a block. [`decode_block`] decodes it whole and
+//! validates everything: counts against the directory, run-length sums,
+//! node-id overflow, value-section length, and that the block's bytes are
+//! consumed exactly. [`decode_block_range`] decodes only entries
+//! `lo..hi`: it checks the same framing (counts, run directory, section
+//! boundaries, exact length) on every call and fully decodes the
+//! requested entries, but only counts the varints of the others. Any
+//! violation is [`SlingError::CorruptIndex`]; no input may panic.
+
+use std::ops::Range;
+
+use sling_graph::NodeId;
 
 use crate::codec::value::{
-    codec_for_tag, decode_values_global, encode_values_lossless, encode_values_quantized,
-    encode_values_v3, GlobalDict, TAG_GLOBAL_DICT,
+    codec_for_tag, decode_values_global, decode_values_range, encode_values_lossless,
+    encode_values_quantized, encode_values_v3, GlobalDict, TAG_GLOBAL_DICT,
 };
 use crate::codec::varint;
 use crate::error::SlingError;
+use crate::hp::HpEntry;
 
 /// Default entries per block: big enough that the per-block dictionary
-/// and directory overhead amortize, small enough that decoding a block
-/// to serve one `O(1/ε)` entry run stays cheap.
+/// and directory overhead amortize. A query reads an `O(1/ε)` run (about
+/// 20 entries on BA(100000,4) at ε = 0.1), far less than a block, so the
+/// compressed backends serve runs through [`decode_block_range`] rather
+/// than decoding whole blocks.
 pub const DEFAULT_BLOCK_ENTRIES: usize = 1024;
 
 /// Hard ceiling on entries per block, bounding what a corrupt directory
@@ -109,7 +120,8 @@ pub(crate) fn values_all_probabilities(values: &[f64]) -> bool {
 
 /// One decoded block: the three entry columns, parallel and
 /// `num_entries` long. Reused across decodes (buffers are cleared, not
-/// reallocated) and shared via `Arc` by the block caches.
+/// reallocated) and kept by the compressed backends' resident block
+/// tables.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct DecodedBlock {
     pub steps: Vec<u16>,
@@ -246,32 +258,15 @@ fn decode_block_ctx(
     out: &mut DecodedBlock,
 ) -> Result<(), SlingError> {
     out.clear();
-    if expected_entries == 0 || expected_entries > MAX_BLOCK_ENTRIES {
-        return Err(corrupt(format!(
-            "block directory expects {expected_entries} entries (valid: 1..={MAX_BLOCK_ENTRIES})"
-        )));
-    }
     let mut buf = bytes;
-    let count = varint::read_u32(&mut buf)? as usize;
-    if count != expected_entries {
-        return Err(corrupt(format!(
-            "block holds {count} entries, directory says {expected_entries}"
-        )));
-    }
-    let num_runs = varint::read_u32(&mut buf)? as usize;
-    if num_runs == 0 || num_runs > count {
-        return Err(corrupt(format!(
-            "block of {count} entries claims {num_runs} runs"
-        )));
-    }
+    let (count, num_runs) = read_header(&mut buf, expected_entries)?;
 
     // Run directory.
     let mut run_lens = Vec::with_capacity(num_runs);
     out.steps.reserve(count);
     let mut total = 0usize;
     for _ in 0..num_runs {
-        let step = varint::read_u16(&mut buf)?;
-        let len = varint::read_u32(&mut buf)? as usize;
+        let (step, len) = read_run(&mut buf)?;
         if len == 0 {
             return Err(corrupt("zero-length run"));
         }
@@ -331,6 +326,150 @@ fn decode_block_ctx(
     Ok(())
 }
 
+/// Read and check a block's entry count (against the directory's
+/// `expected_entries`) and run count; returns both.
+fn read_header(buf: &mut &[u8], expected_entries: usize) -> Result<(usize, usize), SlingError> {
+    if expected_entries == 0 || expected_entries > MAX_BLOCK_ENTRIES {
+        return Err(corrupt(format!(
+            "block directory expects {expected_entries} entries (valid: 1..={MAX_BLOCK_ENTRIES})"
+        )));
+    }
+    let count = varint::read_u32(buf)? as usize;
+    if count != expected_entries {
+        return Err(corrupt(format!(
+            "block holds {count} entries, directory says {expected_entries}"
+        )));
+    }
+    let num_runs = varint::read_u32(buf)? as usize;
+    if num_runs == 0 || num_runs > count {
+        return Err(corrupt(format!(
+            "block of {count} entries claims {num_runs} runs"
+        )));
+    }
+    Ok((count, num_runs))
+}
+
+/// Read one run-directory entry `(step, len)`. Both fields are almost
+/// always one-byte varints, read here without the general decoder.
+#[inline(always)]
+fn read_run(buf: &mut &[u8]) -> Result<(u16, usize), SlingError> {
+    if let &[step, len, ref rest @ ..] = *buf {
+        if (step | len) < 0x80 {
+            *buf = rest;
+            return Ok((step as u16, len as usize));
+        }
+    }
+    Ok((varint::read_u16(buf)?, varint::read_u32(buf)? as usize))
+}
+
+/// Decode entries `entries` (local indices) of one block, appending them
+/// to `out` in order (nothing is appended on error). `global_dict` is
+/// the `SLNGIDX3` dictionary (`None` outside a v3 payload, where a
+/// [`TAG_GLOBAL_DICT`] section is rejected).
+///
+/// The block's framing is checked exactly as [`decode_block`] checks it:
+/// the entry count against `expected_entries`, the run directory in full
+/// (no empty runs, lengths summing to the count), every section boundary,
+/// and that the block's bytes are consumed exactly. The requested
+/// entries are decoded with every per-entry check: node-id overflow,
+/// dictionary indices and hi-plane indices in range. The varints of the
+/// other entries are only counted, a word at a time
+/// (`varint::skip_varints`), so a corrupt value among them is not
+/// detected; bounds that depend on the index (node `< n`, values that
+/// are probabilities) are the caller's to check. On a block
+/// [`decode_block`] accepts, the result is bit-identical to the same
+/// range of its output.
+pub fn decode_block_range(
+    bytes: &[u8],
+    expected_entries: usize,
+    global_dict: Option<&[f64]>,
+    entries: Range<usize>,
+    out: &mut Vec<HpEntry>,
+) -> Result<(), SlingError> {
+    let base = out.len();
+    let decoded = decode_range_into(bytes, expected_entries, global_dict, entries, out);
+    if decoded.is_err() {
+        out.truncate(base);
+    }
+    decoded
+}
+
+fn decode_range_into(
+    bytes: &[u8],
+    expected_entries: usize,
+    global_dict: Option<&[f64]>,
+    entries: Range<usize>,
+    out: &mut Vec<HpEntry>,
+) -> Result<(), SlingError> {
+    let (lo, hi) = (entries.start, entries.end);
+    let mut buf = bytes;
+    let (count, num_runs) = read_header(&mut buf, expected_entries)?;
+    if lo >= hi || hi > count {
+        return Err(corrupt(format!(
+            "entry range {lo}..{hi} outside a block of {count} entries"
+        )));
+    }
+
+    // Run directory, parsed in full; remember where the run holding
+    // entry `lo` starts, in the directory and in the entry order.
+    let mut first_run: Option<(&[u8], usize)> = None;
+    let mut total = 0usize;
+    for _ in 0..num_runs {
+        let at = buf;
+        let (_, len) = read_run(&mut buf)?;
+        if len == 0 {
+            return Err(corrupt("zero-length run"));
+        }
+        if first_run.is_none() && total + len > lo {
+            first_run = Some((at, total));
+        }
+        total += len;
+        if total > count {
+            return Err(corrupt("run lengths exceed the block entry count"));
+        }
+    }
+    if total != count {
+        return Err(corrupt(format!(
+            "run lengths cover {total} of {count} entries"
+        )));
+    }
+    let (mut runs, mut i) = first_run.ok_or_else(|| corrupt("no run holds the range"))?;
+
+    // Node column: skip the runs before `lo`'s, decode from its first
+    // (absolute) id through `hi`, skip the rest.
+    varint::skip_varints(&mut buf, i)?;
+    let base = out.len();
+    out.reserve(hi - lo);
+    while i < hi {
+        let (step, len) = read_run(&mut runs)?;
+        let end = (i + len).min(hi);
+        let mut node = varint::read_u32(&mut buf)?;
+        loop {
+            if i >= lo {
+                out.push(HpEntry::new(step, NodeId(node), 0.0));
+            }
+            i += 1;
+            if i == end {
+                break;
+            }
+            let next = node as u64 + varint::read_u32(&mut buf)? as u64 + 1;
+            node = u32::try_from(next)
+                .map_err(|_| corrupt(format!("node delta overflows u32 ({next})")))?;
+        }
+    }
+    varint::skip_varints(&mut buf, count - hi)?;
+
+    // Value column.
+    decode_values_range(&mut buf, count, lo, global_dict, &mut out[base..])?;
+    if !buf.is_empty() {
+        return Err(corrupt(format!(
+            "{} trailing bytes after the block payload",
+            buf.len()
+        )));
+    }
+    Ok(())
+}
+
 /// Per-section byte sizes of one encoded block, as reported by
 /// [`block_section_sizes`] for `sling inspect` attribution.
 #[derive(Clone, Copy, Debug, Default)]
@@ -353,29 +492,12 @@ pub fn block_section_sizes(
     bytes: &[u8],
     expected_entries: usize,
 ) -> Result<BlockSections, SlingError> {
-    if expected_entries == 0 || expected_entries > MAX_BLOCK_ENTRIES {
-        return Err(corrupt(format!(
-            "block directory expects {expected_entries} entries (valid: 1..={MAX_BLOCK_ENTRIES})"
-        )));
-    }
     let mut buf = bytes;
-    let count = varint::read_u32(&mut buf)? as usize;
-    if count != expected_entries {
-        return Err(corrupt(format!(
-            "block holds {count} entries, directory says {expected_entries}"
-        )));
-    }
-    let num_runs = varint::read_u32(&mut buf)? as usize;
-    if num_runs == 0 || num_runs > count {
-        return Err(corrupt(format!(
-            "block of {count} entries claims {num_runs} runs"
-        )));
-    }
+    let (count, num_runs) = read_header(&mut buf, expected_entries)?;
     let mut run_lens = Vec::with_capacity(num_runs);
     let mut total = 0usize;
     for _ in 0..num_runs {
-        let _step = varint::read_u16(&mut buf)?;
-        let len = varint::read_u32(&mut buf)? as usize;
+        let (_, len) = read_run(&mut buf)?;
         if len == 0 {
             return Err(corrupt("zero-length run"));
         }
@@ -428,12 +550,45 @@ pub fn run_starts(owners: &[u32], steps: &[u16]) -> Vec<usize> {
 mod tests {
     use super::*;
 
+    /// Every sub-range of `bytes` decoded by [`decode_block_range`]
+    /// equals the same range of the whole-block decode, bit for bit.
+    fn assert_ranges_match(bytes: &[u8], dict: Option<&[f64]>, block: &DecodedBlock) {
+        let count = block.len();
+        for lo in 0..count {
+            for hi in lo + 1..=count {
+                let mut out = vec![HpEntry::new(9, NodeId(9), 9.0)];
+                decode_block_range(bytes, count, dict, lo..hi, &mut out).unwrap();
+                assert_eq!(out.len(), 1 + hi - lo);
+                for (k, e) in out[1..].iter().enumerate() {
+                    assert_eq!(e.step, block.steps[lo + k], "{lo}..{hi}");
+                    assert_eq!(e.node.0, block.nodes[lo + k], "{lo}..{hi}");
+                    assert_eq!(e.value.to_bits(), block.values[lo + k].to_bits());
+                }
+            }
+        }
+    }
+
     fn round_trip(steps: &[u16], nodes: &[u32], values: &[f64], owners: &[u32], quantize: bool) {
         let starts = run_starts(owners, steps);
         let mut bytes = Vec::new();
         encode_block(steps, nodes, values, &starts, quantize, &mut bytes);
         let mut block = DecodedBlock::default();
         decode_block(&bytes, steps.len(), &mut block).unwrap();
+        assert_ranges_match(&bytes, None, &block);
+        // The same columns through the v3 global dictionary.
+        let dict = GlobalDict::build(values);
+        let mut v3 = Vec::new();
+        encode_block_with(
+            steps,
+            nodes,
+            values,
+            &starts,
+            ValueMode::Global(&dict),
+            &mut v3,
+        );
+        let mut v3_block = DecodedBlock::default();
+        decode_block_with_dict(&v3, steps.len(), dict.values(), &mut v3_block).unwrap();
+        assert_ranges_match(&v3, Some(dict.values()), &v3_block);
         assert_eq!(block.steps, steps);
         assert_eq!(block.nodes, nodes);
         if quantize {
@@ -532,6 +687,66 @@ mod tests {
         let mut block = DecodedBlock::default();
         let err = decode_block(&bytes, 2, &mut block).unwrap_err();
         assert!(err.to_string().contains("overflow"), "{err}");
+    }
+
+    #[test]
+    fn range_decode_covers_every_value_tag() {
+        use crate::codec::value::{TAG_DICT_F64, TAG_FIXED_U32, TAG_RAW_F64};
+        // Two owners, three runs; hot values shared, cold ones distinct.
+        let owners = [0u32, 0, 0, 0, 1, 1, 1, 1];
+        let steps = [0u16, 1, 1, 1, 1, 1, 3, 3];
+        let nodes = [0u32, 2, 3, 9, 1, 4, 0, 7];
+        let hot = [1.0, 0.25, 0.25, 0.25, 0.25, 1.0, 0.125, 0.125];
+        let cold: Vec<f64> = (0..8).map(|i| 1.0 / (i as f64 + 3.0)).collect();
+        let mixed = [1.0, 0.25, 0.3, 0.25, 0.7, 1.0, 0.125, 0.9];
+        let starts = run_starts(&owners, &steps);
+        let mut seen = Vec::new();
+        let shared = GlobalDict::build(&[hot.as_slice(), hot.as_slice()].concat());
+        for (values, mode) in [
+            (&hot[..], ValueMode::Lossless),
+            (&cold[..], ValueMode::Lossless),
+            (&hot[..], ValueMode::Quantized),
+            (&hot[..], ValueMode::Global(&shared)),
+            (&mixed[..], ValueMode::Global(&shared)),
+        ] {
+            let mut bytes = Vec::new();
+            encode_block_with(&steps, &nodes, values, &starts, mode, &mut bytes);
+            let mut block = DecodedBlock::default();
+            decode_block_with_dict(&bytes, 8, shared.values(), &mut block).unwrap();
+            assert_ranges_match(&bytes, Some(shared.values()), &block);
+            let sections = block_section_sizes(&bytes, 8).unwrap();
+            seen.push(sections.value_tag);
+        }
+        for tag in [TAG_DICT_F64, TAG_RAW_F64, TAG_FIXED_U32, TAG_GLOBAL_DICT] {
+            assert!(seen.contains(&tag), "tag {tag} not exercised: {seen:?}");
+        }
+    }
+
+    #[test]
+    fn range_decode_checks_framing_outside_the_range() {
+        let mut bytes = Vec::new();
+        encode_block(
+            &[0, 1, 1],
+            &[4, 1, 2],
+            &[1.0, 0.5, 0.5],
+            &[0, 1],
+            false,
+            &mut bytes,
+        );
+        let mut out = Vec::new();
+        decode_block_range(&bytes, 3, None, 0..1, &mut out).unwrap();
+        // Truncation anywhere, trailing bytes, a wrong count or an empty
+        // or out-of-block range all fail, whatever range is asked for.
+        for cut in 0..bytes.len() {
+            assert!(decode_block_range(&bytes[..cut], 3, None, 0..1, &mut out).is_err());
+        }
+        let mut extended = bytes.clone();
+        extended.push(0);
+        assert!(decode_block_range(&extended, 3, None, 0..1, &mut out).is_err());
+        assert!(decode_block_range(&bytes, 4, None, 0..1, &mut out).is_err());
+        assert!(decode_block_range(&bytes, 3, None, 1..1, &mut out).is_err());
+        assert!(decode_block_range(&bytes, 3, None, 2..4, &mut out).is_err());
+        assert_eq!(out.len(), 1, "a failed range decode appended entries");
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! * [`varint`] — LEB128 integers, the shared primitive;
 //! * [`block`] — the independently decodable entry block: steps
 //!   run-length coded, node ids delta-coded per run, plus a tagged value
-//!   section;
+//!   section; decoded whole or, for one entry run, range by range;
 //! * [`value`] — the [`value::SectionCodec`] trait and its three value
 //!   codecs (raw `f64`, per-block dictionary, lossy fixed-point `u32`).
 //!
@@ -34,8 +34,8 @@ pub mod value;
 pub mod varint;
 
 pub use block::{
-    decode_block, decode_block_with_dict, encode_block, DecodedBlock, ValueMode,
-    DEFAULT_BLOCK_ENTRIES,
+    decode_block, decode_block_range, decode_block_with_dict, encode_block, DecodedBlock,
+    ValueMode, DEFAULT_BLOCK_ENTRIES,
 };
 pub use value::{GlobalDict, SectionCodec};
 

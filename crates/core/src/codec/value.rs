@@ -38,6 +38,7 @@
 
 use crate::codec::varint;
 use crate::error::SlingError;
+use crate::hp::HpEntry;
 
 fn corrupt(what: impl Into<String>) -> SlingError {
     SlingError::CorruptIndex(what.into())
@@ -514,6 +515,177 @@ pub(crate) fn decode_values_global(
     }
     *buf = &buf[need..];
     Ok(())
+}
+
+/// Decode the values of entries `lo..lo + out.len()` of a block's value
+/// section of `count` values into `out`'s value fields. `buf` starts at
+/// the section's tag byte and is advanced past the whole section.
+///
+/// The section's framing is checked in full: the same lengths,
+/// dictionary sizes and escape/hi-plane shape the whole-section decoders
+/// check. Only the requested values are decoded, and each decoded
+/// dictionary index, global code and hi-plane index is range-checked;
+/// the other varints are counted with [`varint::skip_varints`], never
+/// decoded. Supports every tag a v2/v3 block can carry; a
+/// [`TAG_GLOBAL_DICT`] section needs `global_dict`.
+pub(crate) fn decode_values_range(
+    buf: &mut &[u8],
+    count: usize,
+    lo: usize,
+    global_dict: Option<&[f64]>,
+    out: &mut [HpEntry],
+) -> Result<(), SlingError> {
+    if lo + out.len() > count {
+        return Err(corrupt(format!(
+            "value range {lo}..{} outside a section of {count}",
+            lo + out.len()
+        )));
+    }
+    let Some((&tag, rest)) = buf.split_first() else {
+        return Err(corrupt("block truncated before the value section"));
+    };
+    *buf = rest;
+    match tag {
+        TAG_RAW_F64 => {
+            let section = take(buf, count * 8, "truncated raw value section")?;
+            for (k, e) in out.iter_mut().enumerate() {
+                let at = (lo + k) * 8;
+                e.value = f64::from_le_bytes(array_at(section, at));
+            }
+        }
+        TAG_FIXED_U32 => {
+            let section = take(buf, count * 4, "truncated fixed-point value section")?;
+            for (k, e) in out.iter_mut().enumerate() {
+                let at = (lo + k) * 4;
+                e.value = dequantize(u32::from_le_bytes(array_at(section, at)));
+            }
+        }
+        TAG_DICT_F64 => {
+            let dict_len = varint::read_u32(buf)? as usize;
+            if dict_len > count {
+                return Err(corrupt(format!(
+                    "value dictionary of {dict_len} entries for {count} values"
+                )));
+            }
+            if dict_len == 0 {
+                return Err(corrupt("empty value dictionary for a non-empty block"));
+            }
+            let dict = take(buf, dict_len * 8, "truncated value dictionary")?;
+            varint::skip_varints(buf, lo)?;
+            for e in out.iter_mut() {
+                let idx = varint::read_u32(buf)? as usize;
+                if idx >= dict_len {
+                    return Err(corrupt(format!(
+                        "value index {idx} past dictionary ({dict_len})"
+                    )));
+                }
+                e.value = f64::from_le_bytes(array_at(dict, idx * 8));
+            }
+            varint::skip_varints(buf, count - lo - out.len())?;
+        }
+        TAG_GLOBAL_DICT => match global_dict {
+            Some(dict) => decode_global_range(buf, count, lo, dict, out)?,
+            None => {
+                return Err(corrupt(
+                    "global-dictionary value section outside an SLNGIDX3 payload",
+                ))
+            }
+        },
+        other => return Err(corrupt(format!("unknown value codec tag {other}"))),
+    }
+    Ok(())
+}
+
+/// The [`TAG_GLOBAL_DICT`] arm of [`decode_values_range`] (tag consumed).
+///
+/// Escapes are counted, not decoded: the zero codes before `lo` index
+/// the hi-index and mantissa planes directly. [`varint::read_u64`]
+/// rejects non-minimal encodings, so a zero code is exactly a lone
+/// `0x00` byte, and the zero count [`varint::skip_varints`] returns is
+/// the escape count the whole-section decoder would read.
+fn decode_global_range(
+    buf: &mut &[u8],
+    count: usize,
+    lo: usize,
+    dict: &[f64],
+    out: &mut [HpEntry],
+) -> Result<(), SlingError> {
+    let esc_before = varint::skip_varints(buf, lo)?;
+    let range_codes = *buf;
+    let mut esc_in = 0usize;
+    for e in out.iter_mut() {
+        let code = varint::read_u32(buf)? as usize;
+        if code == 0 {
+            esc_in += 1;
+        } else {
+            e.value = *dict.get(code - 1).ok_or_else(|| {
+                corrupt(format!(
+                    "global dictionary code {code} past {} entries",
+                    dict.len()
+                ))
+            })?;
+        }
+    }
+    let n_escapes = esc_before + esc_in + varint::skip_varints(buf, count - lo - out.len())?;
+    let hi_dict_len = varint::read_u32(buf)? as usize;
+    if hi_dict_len > n_escapes {
+        return Err(corrupt(format!(
+            "hi-plane dictionary of {hi_dict_len} entries for {n_escapes} escapes"
+        )));
+    }
+    if n_escapes > 0 && hi_dict_len == 0 {
+        return Err(corrupt("empty hi-plane dictionary with escaped values"));
+    }
+    let hi_dict = take(buf, hi_dict_len * 2, "truncated hi-plane dictionary")?;
+    varint::skip_varints(buf, esc_before)?;
+    let range_highs = *buf;
+    for _ in 0..esc_in {
+        let idx = varint::read_u32(buf)? as usize;
+        if idx >= hi_dict_len {
+            return Err(corrupt(format!(
+                "hi-plane index {idx} past dictionary ({hi_dict_len})"
+            )));
+        }
+    }
+    varint::skip_varints(buf, n_escapes - esc_before - esc_in)?;
+    let mantissas = take(buf, n_escapes * 6, "truncated mantissa plane")?;
+    if esc_in == 0 {
+        return Ok(());
+    }
+    // Patch the escapes: walk the range's codes and hi indices again
+    // (both already read and checked above).
+    let (mut codes, mut highs) = (range_codes, range_highs);
+    let mut j = esc_before;
+    for e in out.iter_mut() {
+        if varint::read_u32(&mut codes)? != 0 {
+            continue;
+        }
+        let idx = varint::read_u32(&mut highs)? as usize;
+        let hi = u16::from_le_bytes(array_at(hi_dict, idx * 2));
+        let mut low = [0u8; 8];
+        low[..6].copy_from_slice(&mantissas[j * 6..j * 6 + 6]);
+        e.value = f64::from_bits(u64::from_le_bytes(low) | ((hi as u64) << 48));
+        j += 1;
+    }
+    Ok(())
+}
+
+/// The `N` bytes of `bytes` from `at` on (the caller has checked the
+/// section holds them).
+fn array_at<const N: usize>(bytes: &[u8], at: usize) -> [u8; N] {
+    bytes[at..at + N]
+        .try_into()
+        .expect("a slice of N bytes converts to [u8; N]")
+}
+
+/// Split `len` bytes off the front of `buf`, or fail with `what`.
+fn take<'a>(buf: &mut &'a [u8], len: usize, what: &str) -> Result<&'a [u8], SlingError> {
+    if buf.len() < len {
+        return Err(corrupt(what));
+    }
+    let (head, rest) = buf.split_at(len);
+    *buf = rest;
+    Ok(head)
 }
 
 #[cfg(test)]

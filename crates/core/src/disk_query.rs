@@ -20,8 +20,9 @@
 //! The buffer is format-agnostic: it caches *decoded* per-node lists, so
 //! it fronts a raw `SLNGIDX1` store and a block-compressed `SLNGIDX2`
 //! one identically — over v2 a miss costs one positioned read per
-//! covering block (plus the store's own decoded-block scratch cache), a
-//! hit costs neither IO nor decode.
+//! covering block and a decode of just the list's entries (small
+//! payloads keep their blocks decoded instead), a hit costs neither IO
+//! nor decode.
 
 use parking_lot::Mutex;
 use sling_graph::{DiGraph, NodeId};

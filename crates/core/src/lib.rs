@@ -71,7 +71,7 @@
 //! |---|---|---|---|
 //! | [`hp::HpArena`] | full decode in RAM | `O(n/ε)` decode | v1 + v2 + v3 |
 //! | [`store::MmapHpArena`] | page cache, zero-copy | header + offsets only | v1 |
-//! | [`store::CompressedMmapArena`] | page cache + decoded-block cache | header + offsets + directory | v2 + v3 |
+//! | [`store::CompressedMmapArena`] | page cache (+ decoded blocks when ≤ 64 blocks) | header + offsets + directory | v2 + v3 |
 //! | [`out_of_core::DiskHpStore`] (+ [`disk_query::BufferedDiskStore`] LRU pool) | `O(n)` metadata | header + offsets only | v1 + v2 + v3 |
 //!
 //! Persistence is versioned ([`format`]): `SLNGIDX1` stores the entry

@@ -72,8 +72,9 @@
 //! Before a generation goes live, [`warm_engine`] stages its pages
 //! (advisory `madvise(WILLNEED)` via [`crate::store::HpStore::prefetch`]
 //! on the mmap backends) and replays the store's hot-key log so the
-//! §5.2 [`crate::store::RestoreCache`] and the compressed backends'
-//! block caches are primed — the first post-swap requests hit warm
+//! §5.2 [`crate::store::RestoreCache`] (and, on small compressed
+//! payloads, the resident decoded blocks) are primed — the first
+//! post-swap requests hit warm
 //! caches instead of paying cold-start latency under production
 //! traffic. The log itself is operator- or pipeline-fed (checksummed
 //! `SLNGTRACE` record lines, with legacy bare `<u> <v>` lines still

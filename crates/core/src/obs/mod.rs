@@ -20,6 +20,19 @@
 //! loop — and [`register_process_metrics`] surfaces them in a registry
 //! as closure-backed counters. The counters are monotone and
 //! process-global: rates and deltas, not per-engine gauges.
+//!
+//! The compressed backends (mmap-compressed and blocked disk) report
+//! their block reads with three of them:
+//!
+//! * `sling_kernel_block_decodes_total` — whole-block decodes. A payload
+//!   small enough to keep decoded pays one per block per store; larger
+//!   payloads never decode whole blocks at query time.
+//! * `sling_kernel_run_decodes_total` — range decodes: one per block a
+//!   read touches, decoding only the entries of that read (a run, its
+//!   part inside one block, or a single entry).
+//! * `sling_kernel_backend_bytes_read_total` — encoded block bytes
+//!   scanned by either kind of decode (a range decode still walks the
+//!   whole block's framing), plus the bytes of positioned v1 disk reads.
 
 pub mod histogram;
 pub mod registry;
@@ -38,10 +51,13 @@ pub struct KernelCounters {
     pub restore_cache_hits: AtomicU64,
     /// `RestoreCache` lookups that fell through to recomputation.
     pub restore_cache_misses: AtomicU64,
-    /// Compressed blocks decoded (v2/v3 mmap + disk backends).
+    /// Whole compressed blocks decoded (v2/v3 mmap + disk backends).
     pub block_decodes: AtomicU64,
-    /// Bytes fetched from backend storage (block payloads, positioned
-    /// disk reads) on behalf of queries.
+    /// Compressed-block range decodes: one per block a read touches,
+    /// decoding only the requested entries.
+    pub run_decodes: AtomicU64,
+    /// Bytes fetched from backend storage (encoded block bytes scanned
+    /// by either decode, positioned disk reads) on behalf of queries.
     pub backend_bytes_read: AtomicU64,
     /// Intersect-merges dispatched to the galloping kernel (≥8× skew).
     pub merge_gallop: AtomicU64,
@@ -63,6 +79,7 @@ impl KernelCounters {
             restore_cache_hits: AtomicU64::new(0),
             restore_cache_misses: AtomicU64::new(0),
             block_decodes: AtomicU64::new(0),
+            run_decodes: AtomicU64::new(0),
             backend_bytes_read: AtomicU64::new(0),
             merge_gallop: AtomicU64::new(0),
             merge_linear: AtomicU64::new(0),
@@ -194,7 +211,9 @@ pub fn register_process_metrics(reg: &MetricsRegistry) {
         "sling_kernel_restore_cache_misses_total" => restore_cache_misses:
             "RestoreCache lookups that recomputed the restore",
         "sling_kernel_block_decodes_total" => block_decodes:
-            "compressed index blocks decoded",
+            "whole compressed index blocks decoded",
+        "sling_kernel_run_decodes_total" => run_decodes:
+            "compressed index block range decodes (entries of one read)",
         "sling_kernel_backend_bytes_read_total" => backend_bytes_read:
             "bytes fetched from backend storage for queries",
         "sling_kernel_merge_gallop_total" => merge_gallop:
@@ -269,6 +288,7 @@ mod tests {
         let text = reg.render_prometheus();
         assert!(text.contains("sling_kernel_frontier_words_total"));
         assert!(text.contains("sling_buffered_disk_hits_total"));
+        assert!(text.contains("sling_kernel_run_decodes_total"));
     }
 
     #[test]

@@ -17,12 +17,10 @@ use std::fs::File;
 use std::io;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 use bytes::Buf;
 use sling_graph::{DiGraph, NodeId};
 
-use crate::codec::block::DecodedBlock;
 use crate::codec::CompressOptions;
 use crate::config::SlingConfig;
 use crate::correction::estimate_dk;
@@ -34,9 +32,7 @@ use crate::hp::{HpArena, HpEntry};
 use crate::index::{BuildStats, SlingIndex};
 use crate::local_update::reverse_hp_all;
 use crate::obs::{self, KernelCounters};
-use crate::store::{
-    decode_block_validated, push_block_range, BlockScratchCache, HpStore, QueryEngine,
-};
+use crate::store::{BlockBytes, BlockedPayload, HpStore, QueryEngine};
 use crate::walk::{task_rng, WalkEngine};
 
 /// Options for the out-of-core builder.
@@ -170,9 +166,16 @@ pub fn build_out_of_core(
 /// Implements [`HpStore`], so the whole generic query surface
 /// (Algorithms 3 and 6, top-k, joins, batches) runs against it through
 /// [`DiskHpStore::query_engine`] — for a v1 file each entry-list read
-/// costs three positioned reads (one per payload section); for a v2 file
-/// it costs one positioned read per covering block, decoded through a
-/// small scratch cache, the same constant-IO regime described in §5.4.
+/// costs three positioned reads (one per payload section); for a v2/v3
+/// file it costs one positioned read per covering block, the same
+/// constant-IO regime described in §5.4. Blocks are read through the
+/// block reader it shares with the compressed mmap arena, so it keeps the
+/// same validation contract as [`crate::store::CompressedMmapArena`]:
+/// each decoded block's framing (counts, run directory, section
+/// boundaries, exact length) and every returned entry (node `< n`,
+/// dictionary and hi-plane indices, value a probability) are checked;
+/// a small payload is decoded block by block once and kept, a larger
+/// one is range-decoded run by run.
 /// Front it with [`crate::disk_query::BufferedDiskStore`] to amortize
 /// repeated reads of whole entry lists.
 pub struct DiskHpStore {
@@ -197,17 +200,37 @@ enum DiskPayload {
         nodes_base: u64,
         values_base: u64,
     },
-    /// `SLNGIDX2`/`SLNGIDX3`: a resident block directory; whole blocks
-    /// are read with one `pread` each, decoded, and kept in a scratch
-    /// cache. `global_dict` is the resident v3 value dictionary (`None`
-    /// for v2).
+    /// `SLNGIDX2`/`SLNGIDX3`: the shared block reader over blocks read
+    /// with one `pread` each from `blocks_base` on.
     Blocked {
-        block_entries: usize,
         blocks_base: u64,
-        block_offsets: Vec<u64>,
-        global_dict: Option<Vec<f64>>,
-        cache: BlockScratchCache,
+        blocks: BlockedPayload,
     },
+}
+
+/// Positioned block reads from a blocked index file (fault-injectable
+/// like every disk read).
+struct DiskBlocks<'a> {
+    file: &'a File,
+    blocks_base: u64,
+}
+
+impl BlockBytes for DiskBlocks<'_> {
+    fn block_bytes<'a>(
+        &'a self,
+        lo: u64,
+        hi: u64,
+        buf: &'a mut Vec<u8>,
+    ) -> Result<&'a [u8], SlingError> {
+        buf.clear();
+        buf.resize((hi - lo) as usize, 0);
+        let fault = crate::faults::check_io(crate::faults::point::DISK_READ)?;
+        self.file.read_exact_at(buf, self.blocks_base + lo)?;
+        if fault == Some(crate::faults::FaultAction::Corrupt) {
+            crate::faults::corrupt_buffer(buf);
+        }
+        Ok(buf)
+    }
 }
 
 impl DiskHpStore {
@@ -283,11 +306,14 @@ impl DiskHpStore {
                 values_base: values_base as u64,
             },
             PayloadGeometry::Blocked(geo) => DiskPayload::Blocked {
-                block_entries: geo.block_entries,
                 blocks_base: geo.blocks_base as u64,
-                block_offsets: geo.block_offsets,
-                global_dict: geo.global_dict,
-                cache: BlockScratchCache::new(),
+                blocks: BlockedPayload::new(
+                    meta.num_nodes,
+                    meta.entries,
+                    geo.block_entries,
+                    geo.block_offsets,
+                    geo.global_dict,
+                ),
             },
         };
         Ok(DiskHpStore {
@@ -320,17 +346,7 @@ impl DiskHpStore {
     pub fn resident_bytes(&self) -> usize {
         let payload = match &self.payload {
             DiskPayload::Raw { .. } => 0,
-            DiskPayload::Blocked {
-                block_entries,
-                block_offsets,
-                global_dict,
-                cache,
-                ..
-            } => {
-                block_offsets.len() * 8
-                    + global_dict.as_ref().map_or(0, |d| d.len() * 8)
-                    + cache.resident_bytes(*block_entries)
-            }
+            DiskPayload::Blocked { blocks, .. } => blocks.resident_bytes(),
         };
         self.offsets.len() * 8
             + self.d.len() * 8
@@ -368,65 +384,34 @@ impl DiskHpStore {
         crate::store::SharedEngine::from_owned_parts(self, config, d, reduced, marks, stats)
     }
 
-    /// Read, decode, validate, and cache block `b` of a v2 payload.
-    fn read_block(&self, b: usize) -> Result<Arc<DecodedBlock>, SlingError> {
-        let DiskPayload::Blocked {
-            block_entries,
+    /// Positioned-read byte source of a blocked payload.
+    fn disk_blocks(&self, blocks_base: u64) -> DiskBlocks<'_> {
+        DiskBlocks {
+            file: &self.file,
             blocks_base,
-            block_offsets,
-            global_dict,
-            cache,
-        } = &self.payload
-        else {
-            unreachable!("read_block called on a raw payload");
-        };
-        let num_blocks = block_offsets.len() - 1;
-        cache.get_or_decode(b, || {
-            let (lo, hi) = (block_offsets[b], block_offsets[b + 1]);
-            let mut raw = vec![0u8; (hi - lo) as usize];
-            let fault = crate::faults::check_io(crate::faults::point::DISK_READ)?;
-            self.file.read_exact_at(&mut raw, blocks_base + lo)?;
-            if fault == Some(crate::faults::FaultAction::Corrupt) {
-                crate::faults::corrupt_buffer(&mut raw);
-            }
-            decode_block_validated(
-                &raw,
-                b,
-                num_blocks,
-                *block_entries,
-                self.entries,
-                self.num_nodes,
-                global_dict.as_deref(),
-            )
-        })
+        }
     }
 
     /// Decode one bound-checked entry: three positioned reads (v1) or
-    /// one cached block decode (v2).
+    /// one block read decoding just that entry (v2/v3).
     fn read_entry_at(&self, i: usize) -> Result<HpEntry, SlingError> {
-        if i >= self.entries {
-            return Err(SlingError::CorruptIndex(format!(
-                "disk entry index {i} past the {} stored entries",
-                self.entries
-            )));
-        }
         let (steps_base, nodes_base, values_base) = match &self.payload {
-            DiskPayload::Blocked { block_entries, .. } => {
-                let b = i / block_entries;
-                let block = self.read_block(b)?;
-                let j = i - b * block_entries;
-                return Ok(HpEntry::new(
-                    block.steps[j],
-                    NodeId(block.nodes[j]),
-                    block.values[j],
-                ));
-            }
+            DiskPayload::Blocked {
+                blocks_base,
+                blocks,
+            } => return blocks.entry_at(&self.disk_blocks(*blocks_base), i),
             DiskPayload::Raw {
                 steps_base,
                 nodes_base,
                 values_base,
             } => (*steps_base, *nodes_base, *values_base),
         };
+        if i >= self.entries {
+            return Err(SlingError::CorruptIndex(format!(
+                "disk entry index {i} past the {} stored entries",
+                self.entries
+            )));
+        }
         KernelCounters::bump_by(&obs::KERNEL.backend_bytes_read, 14);
         let fault = crate::faults::check_io(crate::faults::point::DISK_READ)?;
         let mut step_raw = [0u8; 2];
@@ -458,24 +443,15 @@ impl DiskHpStore {
     }
 
     /// Read `H(v)`: three positioned section reads (v1), or one
-    /// positioned read per covering block (v2).
+    /// positioned read per covering block (v2/v3).
     pub(crate) fn read_entries(&self, v: NodeId, out: &mut Vec<HpEntry>) -> Result<(), SlingError> {
-        out.clear();
-        let i = v.index();
-        let (lo, hi) = (self.offsets[i] as usize, self.offsets[i + 1] as usize);
-        let count = hi - lo;
-        if count == 0 {
-            return Ok(());
-        }
         let (steps_base, nodes_base, values_base) = match &self.payload {
-            DiskPayload::Blocked { block_entries, .. } => {
-                let be = *block_entries;
-                out.reserve(count);
-                for b in lo / be..=(hi - 1) / be {
-                    let block = self.read_block(b)?;
-                    push_block_range(&block, b, be, &(lo..hi), out);
-                }
-                return Ok(());
+            DiskPayload::Blocked {
+                blocks_base,
+                blocks,
+            } => {
+                let range = crate::store::checked_range(self, v)?;
+                return blocks.entries_into(&self.disk_blocks(*blocks_base), range, out);
             }
             DiskPayload::Raw {
                 steps_base,
@@ -483,6 +459,13 @@ impl DiskHpStore {
                 values_base,
             } => (*steps_base, *nodes_base, *values_base),
         };
+        out.clear();
+        let i = v.index();
+        let (lo, hi) = (self.offsets[i] as usize, self.offsets[i + 1] as usize);
+        let count = hi - lo;
+        if count == 0 {
+            return Ok(());
+        }
         KernelCounters::bump_by(&obs::KERNEL.backend_bytes_read, count as u64 * 14);
         let fault = crate::faults::check_io(crate::faults::point::DISK_READ)?;
         let mut steps_raw = vec![0u8; count * 2];
@@ -554,17 +537,12 @@ impl DiskHpStore {
                 }
             }
             DiskPayload::Blocked {
-                block_entries,
                 blocks_base,
-                block_offsets,
-                ..
+                blocks,
             } => {
-                let (b0, b1) = (lo / block_entries, (hi - 1) / block_entries);
-                if b1 + 1 >= block_offsets.len() {
-                    return;
+                if let Some((start, end)) = blocks.byte_span(&(lo..hi)) {
+                    fadvise_willneed(&self.file, blocks_base + start, end - start);
                 }
-                let (start, end) = (block_offsets[b0], block_offsets[b1 + 1]);
-                fadvise_willneed(&self.file, blocks_base + start, end - start);
             }
         }
     }
@@ -629,33 +607,25 @@ impl HpStore for DiskHpStore {
         self.prefetch_entries(v);
     }
 
-    /// v2 runs covered by one block are served as a refcounted sub-range
-    /// of the cached decoded block (one `pread` on a cold block, zero
-    /// copies on a warm one). v1 payloads and straddling runs
-    /// materialize into `scratch` via positioned reads, as before.
+    /// Blocked runs go through the shared reader: a run inside one
+    /// resident block is borrowed in place, any other run is decoded
+    /// into `scratch`. v1 payloads materialize into `scratch` via
+    /// positioned reads.
     fn entries_ref<'s>(
         &'s self,
         v: NodeId,
         scratch: &'s mut Vec<HpEntry>,
     ) -> Result<crate::store::EntryAccess<'s>, SlingError> {
-        use crate::store::{checked_range, EntryAccess};
-        if let DiskPayload::Blocked { block_entries, .. } = &self.payload {
-            let range = checked_range(self, v)?;
-            if range.is_empty() {
-                return Ok(EntryAccess::Slice(&[]));
-            }
-            let be = *block_entries;
-            let (b0, b1) = (range.start / be, (range.end - 1) / be);
-            if b0 == b1 {
-                let block = self.read_block(b0)?;
-                let (lo, hi) = (range.start - b0 * be, range.end - b0 * be);
-                if hi <= block.steps.len() {
-                    return Ok(EntryAccess::Block { block, lo, hi });
-                }
-            }
+        if let DiskPayload::Blocked {
+            blocks_base,
+            blocks,
+        } = &self.payload
+        {
+            let range = crate::store::checked_range(self, v)?;
+            return blocks.entries_ref(&self.disk_blocks(*blocks_base), range, scratch);
         }
         self.read_entries(v, scratch)?;
-        Ok(EntryAccess::Slice(scratch))
+        Ok(crate::store::EntryAccess::Slice(scratch))
     }
 }
 

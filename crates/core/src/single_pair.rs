@@ -180,8 +180,8 @@ pub(crate) fn single_pair_core<S: HpStore>(
     // front (mark expansion may rewrite any step), and §5.2-reduced
     // endpoints do too when a [`RestoreCache`] is attached: a warm hub
     // is then one cache lookup and a contiguous-slice merge with zero
-    // backend traffic, which beats re-walking the stored tail through
-    // the block cache on every query. Both need the whole workspace, so
+    // backend traffic, which beats re-reading the stored tail from the
+    // backend on every query. Both need the whole workspace, so
     // they run before the split-borrow below. Reduced endpoints on
     // cache-less engines stay `None` and stream two-segment instead —
     // there the full restore would copy the tail for a single use.

@@ -33,7 +33,7 @@ use std::path::Path;
 use memmap2::{Advice, Mmap};
 use sling_graph::{DiGraph, NodeId};
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
 
@@ -41,11 +41,11 @@ use crate::cache::{node_hash, Admission, FrequencySketch, LruList};
 use crate::codec::block::{
     max_node, values_all_probabilities, DecodedBlock, MAX_PROBABILITY, SWEEP_LANES,
 };
-use crate::codec::{decode_block, decode_block_with_dict, expected_block_len};
+use crate::codec::{decode_block, decode_block_range, decode_block_with_dict, expected_block_len};
 use crate::config::SlingConfig;
 use crate::enhance::MarkArena;
 use crate::error::SlingError;
-use crate::format::{decode_meta, BlockedGeometry, PayloadGeometry};
+use crate::format::{decode_meta, PayloadGeometry};
 use crate::hp::{HpArena, HpEntry};
 use crate::index::{BuildStats, QueryWorkspace, SlingIndex};
 use crate::join::{threshold_join_core, JoinPair, JoinStrategy};
@@ -146,12 +146,14 @@ pub trait HpStore {
 /// * [`EntryAccess::RawLe`] — raw little-endian section bytes straight
 ///   out of an `SLNGIDX1` mapping ([`MmapHpArena`]); entries are decoded
 ///   on the fly with unaligned loads, after one cheap validation sweep.
-/// * [`EntryAccess::Block`] — one decoded `SLNGIDX2` block covering the
-///   whole run ([`CompressedMmapArena`], v2 [`crate::out_of_core::DiskHpStore`]):
-///   shared by refcount out of the block scratch cache, no per-entry copy.
+/// * [`EntryAccess::Block`] — one resident decoded block covering the
+///   whole run ([`CompressedMmapArena`], blocked
+///   [`crate::out_of_core::DiskHpStore`], when the payload is small
+///   enough to keep decoded): borrowed, no per-entry copy.
 /// * [`EntryAccess::Slice`] — entries the backend materialized into the
 ///   caller's scratch buffer (positioned v1 disk reads, buffer-pool
-///   copies, multi-block runs, and the §5.2/§5.3 restored lists).
+///   copies, range-decoded compressed runs, multi-block runs, and the
+///   §5.2/§5.3 restored lists).
 ///
 /// All variants are sorted by `(step, node)` and pre-validated, so
 /// consumers may index the correction-factor array with the node ids.
@@ -177,8 +179,8 @@ pub enum EntryAccess<'a> {
     },
     /// Sub-range `lo..hi` of one decoded (and validated) payload block.
     Block {
-        /// The decoded block, shared with the backend's scratch cache.
-        block: Arc<DecodedBlock>,
+        /// The decoded block, borrowed from the backend's resident table.
+        block: &'a DecodedBlock,
         /// First entry of the run within the block.
         lo: usize,
         /// One past the last entry of the run within the block.
@@ -996,76 +998,6 @@ pub(crate) fn validate_raw_le(
     Ok(())
 }
 
-/// Decoded-block scratch cache of a compressed backend.
-///
-/// Queries against a blocked payload decode whole blocks to read one
-/// `O(1/ε)` entry run; consecutive queries overwhelmingly land in the
-/// same few blocks (hubs cluster, batch pairs repeat endpoints), so a
-/// small cache of decoded blocks turns the second touch into a memcpy.
-/// The cache is sharded by block index — each worker's hot blocks hash
-/// to different shards, so concurrent workers contend only when they
-/// genuinely share a block — and each shard is an independently locked
-/// [`LruList`] holding a handful of `Arc`-shared decoded blocks.
-/// Everything cached has already been validated (node bounds, value
-/// range), so hits skip re-validation too.
-pub(crate) struct BlockScratchCache {
-    shards: Box<[Mutex<LruList<u64, Arc<DecodedBlock>>>]>,
-    per_shard: usize,
-}
-
-impl BlockScratchCache {
-    /// Shard count (power of two) — sized for the thread-per-core worker
-    /// pools the server runs.
-    const SHARDS: usize = 8;
-
-    /// Decoded blocks kept per shard — 64 blocks total, which at the
-    /// default 1024-entry geometry keeps a ~64K-entry working set
-    /// (≈ 1 MiB of columns) decoded. That covers every block of a
-    /// mid-size index outright, so uniformly random pair workloads stop
-    /// thrashing the cache instead of paying a decode per query.
-    const PER_SHARD: usize = 8;
-
-    pub(crate) fn new() -> Self {
-        BlockScratchCache {
-            shards: (0..Self::SHARDS)
-                .map(|_| Mutex::new(LruList::new()))
-                .collect(),
-            per_shard: Self::PER_SHARD,
-        }
-    }
-
-    /// Cached block `b`, or decode-and-admit through `decode`.
-    pub(crate) fn get_or_decode(
-        &self,
-        b: usize,
-        decode: impl FnOnce() -> Result<DecodedBlock, SlingError>,
-    ) -> Result<Arc<DecodedBlock>, SlingError> {
-        let key = b as u64;
-        let shard = &self.shards[b & (Self::SHARDS - 1)];
-        if let Some(hit) = shard.lock().get(&key) {
-            return Ok(Arc::clone(hit));
-        }
-        // Decode with the lock released: a racing worker decoding the
-        // same block does redundant work, but never serializes others.
-        let block = Arc::new(decode()?);
-        let mut guard = shard.lock();
-        if guard.get(&key).is_none() {
-            if guard.len() >= self.per_shard {
-                guard.pop_lru();
-            }
-            guard.insert(key, Arc::clone(&block));
-        }
-        Ok(block)
-    }
-
-    /// Estimated heap bytes of the decoded blocks currently cached
-    /// (14 bytes per decoded entry across the three columns).
-    pub(crate) fn resident_bytes(&self, block_entries: usize) -> usize {
-        let cached: usize = self.shards.iter().map(|s| s.lock().len()).sum();
-        cached * (block_entries * 14 + std::mem::size_of::<DecodedBlock>())
-    }
-}
-
 /// Cache of **restored effective entry lists** for §5.2-reduced and
 /// §5.3-marked nodes.
 ///
@@ -1074,8 +1006,8 @@ impl BlockScratchCache {
 /// dominates hub queries on power-law graphs (the hub's restored list is
 /// orders of magnitude bigger than its stored run). But the restored
 /// list is **immutable** for a given index + graph, so the engines
-/// memoize it: a sharded, entry-budgeted LRU of `Arc`-shared lists, the
-/// same lock-per-shard pattern as [`BlockScratchCache`]. A hit turns a
+/// memoize it: a sharded, entry-budgeted LRU of `Arc`-shared lists, one
+/// independently locked `LruList` per shard. A hit turns a
 /// hub restore into a refcount bump, and the streaming kernels then
 /// borrow the cached list exactly like a backend-owned run. Misses
 /// compute outside the lock; results are bit-identical by construction
@@ -1260,83 +1192,322 @@ impl RestoreCache {
     }
 }
 
-/// Decode and fully validate one block's bytes: directory-consistent
-/// entry count, run shapes, node-id bounds, value range. The **single**
-/// validation path shared by the compressed mmap and disk backends —
-/// if it ever forked, the backends' bit-equivalence guarantee could
-/// silently diverge.
-pub(crate) fn decode_block_validated(
-    raw: &[u8],
-    b: usize,
-    num_blocks: usize,
-    block_entries: usize,
-    total_entries: usize,
+/// Payload blocks a compressed backend keeps decoded: when the whole
+/// payload has at most this many blocks, every block is decoded once, on
+/// first touch, and served from memory for the life of the store (at the
+/// default 1024-entry geometry that is ≤ 64K entries, ≈ 1 MiB of
+/// columns). Larger payloads are read run by run through
+/// [`decode_block_range`] instead: on BA(100000,4) at ε = 0.1 the
+/// payload has 1,899 blocks and a run averages 19 entries, so a cache of
+/// 64 decoded blocks missed on over 90% of reads and every miss decoded
+/// 1024 entries to return 19.
+pub(crate) const RESIDENT_BLOCKS: usize = 64;
+
+/// Where a compressed backend's encoded block bytes come from: borrowed
+/// from a mapping, or read into the caller's `buf`.
+pub(crate) trait BlockBytes {
+    /// Payload bytes `lo..hi`, as offsets from the first block.
+    fn block_bytes<'a>(
+        &'a self,
+        lo: u64,
+        hi: u64,
+        buf: &'a mut Vec<u8>,
+    ) -> Result<&'a [u8], SlingError>;
+}
+
+/// The block reader of the compressed backends ([`CompressedMmapArena`]
+/// and the blocked [`crate::out_of_core::DiskHpStore`]): payload
+/// geometry, the resident v3 value dictionary, and the **single**
+/// validation path every read goes through — if it ever forked, the
+/// backends' bit-equivalence guarantee could silently diverge.
+///
+/// How runs are read is decided once, at open, from the geometry:
+///
+/// * **Resident** (`num_blocks ≤` [`RESIDENT_BLOCKS`]): each block is
+///   decoded whole on first touch, validated, and kept in a per-block
+///   [`OnceLock`]. Nothing is ever evicted; runs inside one block are
+///   borrowed in place as [`EntryAccess::Block`].
+/// * **Range** (larger payloads): every read decodes just the entries it
+///   needs through [`decode_block_range`], straight into the caller's
+///   buffer; a run that straddles blocks decodes each block's part.
+///
+/// Validation contract, in both modes:
+///
+/// * The block's framing is checked on every decode: entry count against
+///   the directory, run-length sums, section boundaries, and the exact
+///   block length with no trailing bytes. (Resident blocks are decoded,
+///   and so checked, once.)
+/// * Every returned entry is checked: node `< n`, dictionary code and
+///   hi-plane index in range, value a probability.
+/// * No input panics; every violation is [`SlingError::CorruptIndex`].
+///
+/// Whole-payload decodes ([`SlingIndex::decode`], `compact`, `verify`)
+/// use the whole-block decoder, not this reader.
+pub(crate) struct BlockedPayload {
     num_nodes: usize,
-    global_dict: Option<&[f64]>,
-) -> Result<DecodedBlock, SlingError> {
-    let expected = expected_block_len(b, num_blocks, block_entries, total_entries)?;
-    KernelCounters::bump(&obs::KERNEL.block_decodes);
-    KernelCounters::bump_by(&obs::KERNEL.backend_bytes_read, raw.len() as u64);
-    let mut block = DecodedBlock::default();
-    match global_dict {
-        Some(dict) => decode_block_with_dict(raw, expected, dict, &mut block)?,
-        None => decode_block(raw, expected, &mut block)?,
+    entries: usize,
+    block_entries: usize,
+    /// Validated block directory (resident, so it cannot be corrupted
+    /// under us after open).
+    block_offsets: Vec<u64>,
+    /// The resident v3 global value dictionary (`None` for v2 files).
+    global_dict: Option<Vec<f64>>,
+    /// Decode-once block table; `Some` exactly in resident mode.
+    resident: Option<Box<[OnceLock<DecodedBlock>]>>,
+}
+
+impl BlockedPayload {
+    pub(crate) fn new(
+        num_nodes: usize,
+        entries: usize,
+        block_entries: usize,
+        block_offsets: Vec<u64>,
+        global_dict: Option<Vec<f64>>,
+    ) -> Self {
+        let num_blocks = block_offsets.len().saturating_sub(1);
+        let resident = (num_blocks <= RESIDENT_BLOCKS)
+            .then(|| (0..num_blocks).map(|_| OnceLock::new()).collect());
+        BlockedPayload {
+            num_nodes,
+            entries,
+            block_entries,
+            block_offsets,
+            global_dict,
+            resident,
+        }
     }
-    // Bound-check ids and value ranges once per decode; cache hits skip
-    // this entirely. The hot path is two lane-striped column folds; only
-    // a failing block pays the per-entry rescan that names the entry.
-    let base = b * block_entries;
-    if max_node(&block.nodes) as usize >= num_nodes {
-        for (i, &node) in block.nodes.iter().enumerate() {
-            if node as usize >= num_nodes {
-                return Err(SlingError::CorruptIndex(format!(
-                    "block entry {} references node {node} past n = {num_nodes}",
-                    base + i,
-                )));
+
+    /// Number of payload blocks.
+    pub(crate) fn num_blocks(&self) -> usize {
+        self.block_offsets.len().saturating_sub(1)
+    }
+
+    /// Payload byte span (offsets from the first block) of the blocks
+    /// holding global entry range `range`; `None` when it is empty or
+    /// out of range.
+    pub(crate) fn byte_span(&self, range: &Range<usize>) -> Option<(u64, u64)> {
+        if range.is_empty() || range.end > self.entries {
+            return None;
+        }
+        let be = self.block_entries;
+        let (b0, b1) = (range.start / be, (range.end - 1) / be);
+        if b1 >= self.num_blocks() {
+            return None;
+        }
+        Some((self.block_offsets[b0], self.block_offsets[b1 + 1]))
+    }
+
+    /// Heap bytes: the block directory, the v3 dictionary and the
+    /// decoded resident blocks (14 bytes per decoded entry).
+    pub(crate) fn resident_bytes(&self) -> usize {
+        let decoded: usize = self.resident.as_deref().map_or(0, |table| {
+            table
+                .iter()
+                .filter_map(OnceLock::get)
+                .map(|block| block.len() * 14 + std::mem::size_of::<DecodedBlock>())
+                .sum()
+        });
+        self.block_offsets.len() * 8
+            + self.global_dict.as_ref().map_or(0, |d| d.len() * 8)
+            + decoded
+    }
+
+    /// Fill `out` (cleared first) with global entries `range`.
+    pub(crate) fn entries_into(
+        &self,
+        src: &impl BlockBytes,
+        range: Range<usize>,
+        out: &mut Vec<HpEntry>,
+    ) -> Result<(), SlingError> {
+        out.clear();
+        if range.is_empty() {
+            return Ok(());
+        }
+        out.reserve(range.len());
+        self.read_into(src, range, out)
+    }
+
+    /// Global entry `i`. In range mode this decodes the one entry, not
+    /// its block (§5.3 mark expansion and the default
+    /// [`HpStore::contains_key`] binary search probe entry by entry).
+    pub(crate) fn entry_at(&self, src: &impl BlockBytes, i: usize) -> Result<HpEntry, SlingError> {
+        if i >= self.entries {
+            return Err(SlingError::CorruptIndex(format!(
+                "compressed entry index {i} past the {} stored entries",
+                self.entries
+            )));
+        }
+        let mut one = Vec::with_capacity(1);
+        self.read_into(src, i..i + 1, &mut one)?;
+        one.pop()
+            .ok_or_else(|| SlingError::CorruptIndex(format!("entry {i} decoded to nothing")))
+    }
+
+    /// Entries `range` as an [`EntryAccess`]: a borrowed resident block
+    /// when the run lies inside one, else materialized into `scratch`.
+    pub(crate) fn entries_ref<'s>(
+        &'s self,
+        src: &impl BlockBytes,
+        range: Range<usize>,
+        scratch: &'s mut Vec<HpEntry>,
+    ) -> Result<EntryAccess<'s>, SlingError> {
+        if range.is_empty() {
+            return Ok(EntryAccess::Slice(&[]));
+        }
+        let be = self.block_entries;
+        let (b0, b1) = (range.start / be, (range.end - 1) / be);
+        if let (Some(table), true) = (self.resident.as_deref(), b0 == b1) {
+            let block = self.resident_block(table, src, b0)?;
+            let (lo, hi) = (range.start - b0 * be, range.end - b0 * be);
+            // The whole-block decode pinned the entry count to the
+            // directory, so the run always fits; guard anyway so a logic
+            // slip cannot become a slice panic.
+            if hi <= block.len() {
+                return Ok(EntryAccess::Block { block, lo, hi });
             }
         }
+        self.entries_into(src, range, scratch)?;
+        Ok(EntryAccess::Slice(scratch))
     }
-    if !values_all_probabilities(&block.values) {
-        for (i, &value) in block.values.iter().enumerate() {
-            check_value(base + i, value)?;
+
+    /// Append global entries `range` (non-empty) to `out`, block by
+    /// block.
+    fn read_into(
+        &self,
+        src: &impl BlockBytes,
+        range: Range<usize>,
+        out: &mut Vec<HpEntry>,
+    ) -> Result<(), SlingError> {
+        let be = self.block_entries;
+        let mut buf = Vec::new();
+        for b in range.start / be..=(range.end - 1) / be {
+            let expected = expected_block_len(b, self.num_blocks(), be, self.entries)?;
+            let (lo, hi) = (
+                range.start.max(b * be) - b * be,
+                range.end.min(b * be + expected) - b * be,
+            );
+            match self.resident.as_deref() {
+                Some(table) => {
+                    let block = self.resident_block(table, src, b)?;
+                    for i in lo..hi {
+                        out.push(HpEntry::new(
+                            block.steps[i],
+                            NodeId(block.nodes[i]),
+                            block.values[i],
+                        ));
+                    }
+                }
+                None => {
+                    let raw = src.block_bytes(
+                        self.block_offsets[b],
+                        self.block_offsets[b + 1],
+                        &mut buf,
+                    )?;
+                    self.decode_range_validated(raw, b, expected, lo..hi, out)?;
+                }
+            }
         }
+        Ok(())
     }
-    Ok(block)
+
+    /// Block `b` of the resident table, decoded and validated on first
+    /// touch. Racing first touches decode redundantly; one result wins.
+    fn resident_block<'s>(
+        &self,
+        table: &'s [OnceLock<DecodedBlock>],
+        src: &impl BlockBytes,
+        b: usize,
+    ) -> Result<&'s DecodedBlock, SlingError> {
+        let expected = expected_block_len(b, self.num_blocks(), self.block_entries, self.entries)?;
+        if let Some(block) = table[b].get() {
+            return Ok(block);
+        }
+        let mut buf = Vec::new();
+        let raw = src.block_bytes(self.block_offsets[b], self.block_offsets[b + 1], &mut buf)?;
+        let block = self.decode_whole_validated(raw, b, expected)?;
+        Ok(table[b].get_or_init(|| block))
+    }
+
+    /// Decode and fully validate one whole block.
+    fn decode_whole_validated(
+        &self,
+        raw: &[u8],
+        b: usize,
+        expected: usize,
+    ) -> Result<DecodedBlock, SlingError> {
+        KernelCounters::bump(&obs::KERNEL.block_decodes);
+        KernelCounters::bump_by(&obs::KERNEL.backend_bytes_read, raw.len() as u64);
+        let mut block = DecodedBlock::default();
+        match self.global_dict.as_deref() {
+            Some(dict) => decode_block_with_dict(raw, expected, dict, &mut block)?,
+            None => decode_block(raw, expected, &mut block)?,
+        }
+        // Two lane-striped column folds; only a failing block pays the
+        // per-entry rescan that names the entry.
+        let base = b * self.block_entries;
+        if max_node(&block.nodes) as usize >= self.num_nodes {
+            for (i, &node) in block.nodes.iter().enumerate() {
+                self.check_node(base + i, node)?;
+            }
+        }
+        if !values_all_probabilities(&block.values) {
+            for (i, &value) in block.values.iter().enumerate() {
+                check_value(base + i, value)?;
+            }
+        }
+        Ok(block)
+    }
+
+    /// Range-decode local entries `local` of block `b` onto `out` and
+    /// validate each returned entry.
+    fn decode_range_validated(
+        &self,
+        raw: &[u8],
+        b: usize,
+        expected: usize,
+        local: Range<usize>,
+        out: &mut Vec<HpEntry>,
+    ) -> Result<(), SlingError> {
+        KernelCounters::bump(&obs::KERNEL.run_decodes);
+        KernelCounters::bump_by(&obs::KERNEL.backend_bytes_read, raw.len() as u64);
+        let first = out.len();
+        let base = b * self.block_entries + local.start;
+        decode_block_range(raw, expected, self.global_dict.as_deref(), local, out)?;
+        for (i, e) in out[first..].iter().enumerate() {
+            self.check_node(base + i, e.node.0)?;
+            check_value(base + i, e.value)?;
+        }
+        Ok(())
+    }
+
+    #[inline]
+    fn check_node(&self, i: usize, node: u32) -> Result<(), SlingError> {
+        if node as usize >= self.num_nodes {
+            return Err(SlingError::CorruptIndex(format!(
+                "block entry {i} references node {node} past n = {}",
+                self.num_nodes
+            )));
+        }
+        Ok(())
+    }
 }
 
-/// Append the part of global entry range `range` that falls inside
-/// block `b` to `out` (the gather loop both compressed backends share).
-pub(crate) fn push_block_range(
-    block: &DecodedBlock,
-    b: usize,
-    block_entries: usize,
-    range: &Range<usize>,
-    out: &mut Vec<HpEntry>,
-) {
-    let lo = range.start.max(b * block_entries) - b * block_entries;
-    let hi = range.end.min((b + 1) * block_entries) - b * block_entries;
-    for i in lo..hi {
-        out.push(HpEntry::new(
-            block.steps[i],
-            NodeId(block.nodes[i]),
-            block.values[i],
-        ));
-    }
-}
-
-/// Zero-copy memory-mapped view of a block-compressed `SLNGIDX2` index
-/// file.
+/// Zero-copy memory-mapped view of a block-compressed `SLNGIDX2` or
+/// `SLNGIDX3` index file.
 ///
 /// The compressed sibling of [`MmapHpArena`]: `open` maps the file and
 /// validates the header, offset table, and block directory — never the
 /// payload — so open cost is independent of the number of stored
-/// entries. Queries decode exactly the blocks their entry range touches,
-/// straight from the page cache, through a sharded decoded-block scratch
-/// cache (see [`BlockScratchCache`]) that makes repeated touches of a
-/// hot block free. Every decoded block is fully validated (counts,
-/// run shapes, node bounds, value range) before use, so a file corrupted
-/// *after* open still surfaces as [`SlingError::CorruptIndex`], never a
-/// panic.
+/// entries. Queries read blocks straight from the page cache through the
+/// block reader it shares with the blocked disk store: a payload of at
+/// most 64 blocks is decoded block by block once and then
+/// served from memory; a larger one is range-decoded run by run. Either
+/// way every read obeys the reader's validation contract: the framing of
+/// each decoded block is checked (counts, run directory, section
+/// boundaries, exact length), every returned entry is checked (node
+/// `< n`, dictionary and hi-plane indices, value a probability), and a
+/// file corrupted *after* open still surfaces as
+/// [`SlingError::CorruptIndex`], never a panic.
 ///
 /// In lossless mode (the default for `sling compact`) queries return
 /// scores **bit-identical** to every other backend serving the same
@@ -1344,21 +1515,12 @@ pub(crate) fn push_block_range(
 /// [`CompressedMmapArena::values_exact`]` == false`.
 pub struct CompressedMmapArena {
     map: Mmap,
-    num_nodes: usize,
-    entries: usize,
     /// Byte offset of the `(n + 1)`-entry `u64` HP offset table.
     offsets_base: usize,
-    /// Entries per block.
-    block_entries: usize,
     /// Byte offset of the first block.
     blocks_base: usize,
-    /// Validated block directory (resident, so it cannot be corrupted
-    /// under us after open).
-    block_offsets: Vec<u64>,
     values_exact: bool,
-    /// The resident v3 global value dictionary (`None` for v2 files).
-    global_dict: Option<Vec<f64>>,
-    cache: BlockScratchCache,
+    blocks: BlockedPayload,
 }
 
 impl CompressedMmapArena {
@@ -1375,33 +1537,24 @@ impl CompressedMmapArena {
         // validated and errors surface as SlingError.
         let map = unsafe { Mmap::map(&file) }?;
         let mut meta = decode_meta(&map)?;
-        let geo = match &mut meta.payload {
-            PayloadGeometry::Blocked(geo) => BlockedGeometry {
-                block_entries: geo.block_entries,
-                blocks_base: geo.blocks_base,
-                block_offsets: std::mem::take(&mut geo.block_offsets),
-                values_exact: geo.values_exact,
-                global_dict: std::mem::take(&mut geo.global_dict),
-                aux_bytes: geo.aux_bytes,
-            },
-            PayloadGeometry::Raw { .. } => {
-                return Err(SlingError::CorruptIndex(
-                    "SLNGIDX1 index: open it with the plain mmap backend, or convert \
-                     with `sling compact`"
-                        .to_string(),
-                ))
-            }
+        let PayloadGeometry::Blocked(geo) = &mut meta.payload else {
+            return Err(SlingError::CorruptIndex(
+                "SLNGIDX1 index: open it with the plain mmap backend, or convert \
+                 with `sling compact`"
+                    .to_string(),
+            ));
         };
         let arena = CompressedMmapArena {
-            num_nodes: meta.num_nodes,
-            entries: meta.entries,
             offsets_base: meta.offsets_base,
-            block_entries: geo.block_entries,
             blocks_base: geo.blocks_base,
-            block_offsets: geo.block_offsets,
             values_exact: geo.values_exact,
-            global_dict: geo.global_dict,
-            cache: BlockScratchCache::new(),
+            blocks: BlockedPayload::new(
+                meta.num_nodes,
+                meta.entries,
+                geo.block_entries,
+                std::mem::take(&mut geo.block_offsets),
+                std::mem::take(&mut geo.global_dict),
+            ),
             map,
         };
         Ok((arena, meta))
@@ -1422,7 +1575,7 @@ impl CompressedMmapArena {
 
     /// Number of payload blocks.
     pub fn num_blocks(&self) -> usize {
-        self.block_offsets.len() - 1
+        self.blocks.num_blocks()
     }
 
     /// Bytes of the underlying mapping (for space reports).
@@ -1439,64 +1592,52 @@ impl CompressedMmapArena {
         ) as usize
     }
 
-    /// Decode block `b` from the mapping, fully validated.
-    fn decode_block_at(&self, b: usize) -> Result<DecodedBlock, SlingError> {
-        let (lo, hi) = (
-            self.blocks_base + self.block_offsets[b] as usize,
-            self.blocks_base + self.block_offsets[b + 1] as usize,
-        );
-        // In bounds by construction: decode_meta validated the directory
-        // against the mapping length, and the directory is resident.
-        decode_block_validated(
-            &self.map[lo..hi],
-            b,
-            self.num_blocks(),
-            self.block_entries,
-            self.entries,
-            self.num_nodes,
-            self.global_dict.as_deref(),
-        )
-    }
-
-    /// Block `b`, served from the scratch cache.
-    fn block(&self, b: usize) -> Result<Arc<DecodedBlock>, SlingError> {
-        self.cache.get_or_decode(b, || self.decode_block_at(b))
-    }
-
     /// `madvise(WILLNEED)` the encoded byte range of the blocks holding
     /// `H(v)`, so a cold query faults its pages in with batched
     /// readahead. Advisory only; failures and out-of-range ids are
     /// ignored.
     pub fn prefetch_entries(&self, v: NodeId) {
-        if v.index() >= self.num_nodes {
+        if v.index() >= self.blocks.num_nodes {
             return;
         }
-        let range = self.range(v);
-        if range.start > range.end || range.end > self.entries || range.is_empty() {
-            return;
+        if let Some((lo, hi)) = self.blocks.byte_span(&self.range(v)) {
+            let _ = self.map.advise_range(
+                Advice::WillNeed,
+                self.blocks_base + lo as usize,
+                (hi - lo) as usize,
+            );
         }
-        let (b0, b1) = (
-            range.start / self.block_entries,
-            (range.end - 1) / self.block_entries,
+    }
+}
+
+impl BlockBytes for CompressedMmapArena {
+    fn block_bytes<'a>(
+        &'a self,
+        lo: u64,
+        hi: u64,
+        _buf: &'a mut Vec<u8>,
+    ) -> Result<&'a [u8], SlingError> {
+        // In bounds by construction (decode_meta validated the resident
+        // directory against the mapping length); checked regardless.
+        let (lo, hi) = (
+            self.blocks_base + lo as usize,
+            self.blocks_base + hi as usize,
         );
-        if b1 >= self.num_blocks() {
-            return;
-        }
-        let lo = self.blocks_base + self.block_offsets[b0] as usize;
-        let hi = self.blocks_base + self.block_offsets[b1 + 1] as usize;
-        let _ = self.map.advise_range(Advice::WillNeed, lo, hi - lo);
+        self.map.get(lo..hi).ok_or_else(|| {
+            SlingError::CorruptIndex(format!("block bytes {lo}..{hi} escape the mapping"))
+        })
     }
 }
 
 impl HpStore for CompressedMmapArena {
     #[inline]
     fn num_nodes(&self) -> usize {
-        self.num_nodes
+        self.blocks.num_nodes
     }
 
     #[inline]
     fn total_entries(&self) -> usize {
-        self.entries
+        self.blocks.entries
     }
 
     #[inline]
@@ -1506,77 +1647,36 @@ impl HpStore for CompressedMmapArena {
     }
 
     fn entries_into(&self, v: NodeId, out: &mut Vec<HpEntry>) -> Result<(), SlingError> {
-        out.clear();
         let range = checked_range(self, v)?;
-        if range.is_empty() {
-            return Ok(());
-        }
-        out.reserve(range.len());
-        let be = self.block_entries;
-        for b in range.start / be..=(range.end - 1) / be {
-            let block = self.block(b)?;
-            push_block_range(&block, b, be, &range, out);
-        }
-        Ok(())
+        self.blocks.entries_into(self, range, out)
     }
 
     fn entry_at(&self, i: usize) -> Result<HpEntry, SlingError> {
-        if i >= self.entries {
-            return Err(SlingError::CorruptIndex(format!(
-                "compressed entry index {i} past the {} stored entries",
-                self.entries
-            )));
-        }
-        let b = i / self.block_entries;
-        let block = self.block(b)?;
-        let j = i - b * self.block_entries;
-        Ok(HpEntry::new(
-            block.steps[j],
-            NodeId(block.nodes[j]),
-            block.values[j],
-        ))
+        self.blocks.entry_at(self, i)
     }
 
     /// The encoded payload lives in the page cache; resident heap is the
-    /// block directory plus the decoded-block scratch cache.
+    /// block directory, the v3 dictionary and any resident decoded
+    /// blocks.
     fn resident_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + self.block_offsets.len() * 8
-            + self.cache.resident_bytes(self.block_entries)
+        std::mem::size_of::<Self>() + self.blocks.resident_bytes()
     }
 
     fn prefetch(&self, v: NodeId) {
         self.prefetch_entries(v);
     }
 
-    /// Runs covered by a single block — the overwhelmingly common case,
-    /// since `O(1/ε)` runs are far shorter than a block — are served as a
-    /// refcounted sub-range of the cached decoded block, skipping the
-    /// per-entry gather copy. Runs straddling block boundaries fall back
-    /// to materializing into `scratch`.
+    /// Resident payloads serve a run inside one block as a borrowed
+    /// sub-range of the decoded block, skipping the per-entry copy;
+    /// range-decoded runs and runs straddling blocks materialize into
+    /// `scratch`.
     fn entries_ref<'s>(
         &'s self,
         v: NodeId,
         scratch: &'s mut Vec<HpEntry>,
     ) -> Result<EntryAccess<'s>, SlingError> {
         let range = checked_range(self, v)?;
-        if range.is_empty() {
-            return Ok(EntryAccess::Slice(&[]));
-        }
-        let be = self.block_entries;
-        let (b0, b1) = (range.start / be, (range.end - 1) / be);
-        if b0 == b1 {
-            let block = self.block(b0)?;
-            let (lo, hi) = (range.start - b0 * be, range.end - b0 * be);
-            // decode_block_validated pinned the block's entry count to
-            // the directory, so the run range always fits; guard anyway
-            // so a logic slip cannot become a slice panic.
-            if hi <= block.steps.len() {
-                return Ok(EntryAccess::Block { block, lo, hi });
-            }
-        }
-        self.entries_into(v, scratch)?;
-        Ok(EntryAccess::Slice(scratch))
+        self.blocks.entries_ref(self, range, scratch)
     }
 }
 
@@ -1945,9 +2045,9 @@ impl SharedEngine<CompressedMmapArena> {
     /// Open a block-compressed `SLNGIDX2` index as an owned mmap engine,
     /// verifying it matches `graph`. Open cost is header, offset-table,
     /// and block-directory validation plus the `O(n)` query-side
-    /// metadata; blocks are decoded on demand through the arena's
-    /// scratch cache. A lossless file answers bit-identically to every
-    /// other backend.
+    /// metadata; blocks are decoded on demand (see
+    /// [`CompressedMmapArena`]). A lossless file answers bit-identically
+    /// to every other backend.
     pub fn open_mmap_compressed(
         graph: &DiGraph,
         path: impl AsRef<Path>,
@@ -2448,7 +2548,7 @@ mod tests {
             );
             assert_eq!(engine.top_k(&g, u, 6).unwrap(), idx.top_k_heap(&g, u, 6));
         }
-        // O(n) resident: directory + scratch cache, far below the arena.
+        // O(n) resident: directory + decoded blocks, far below the arena.
         assert!(engine.store().resident_bytes() < idx.hp.resident_bytes());
         std::fs::remove_file(&path).ok();
     }
@@ -2501,33 +2601,100 @@ mod tests {
     }
 
     #[test]
-    fn compressed_mmap_concurrent_queries_share_the_scratch_cache() {
+    fn compressed_mmap_concurrent_queries_agree_in_both_read_modes() {
         let g = barabasi_albert(100, 3, 11).unwrap();
         let idx = SlingIndex::build(&g, &cfg()).unwrap();
-        let path = tmp("concurrent_compressed");
-        idx.save_v2(&path, &crate::codec::CompressOptions::default())
-            .unwrap();
-        let engine = std::sync::Arc::new(SharedEngine::open_mmap_compressed(&g, &path).unwrap());
-        std::thread::scope(|s| {
-            for t in 0..4u32 {
-                let engine = std::sync::Arc::clone(&engine);
-                let (g, idx) = (&g, &idx);
-                s.spawn(move || {
-                    let mut ws = QueryWorkspace::new();
-                    for i in 0..40u32 {
-                        let (u, v) = (NodeId((t * 17 + i) % 100), NodeId((i * 3 + 1) % 100));
-                        assert_eq!(
-                            engine.single_pair_with(g, &mut ws, u, v).unwrap(),
-                            idx.single_pair(g, u, v)
-                        );
-                    }
-                });
-            }
-        });
-        // Prefetch stays advisory and harmless.
-        engine.store().prefetch(NodeId(3));
-        engine.store().prefetch(NodeId(99_999));
-        std::fs::remove_file(&path).ok();
+        // Default blocks keep the payload resident; 4-entry blocks push
+        // it past RESIDENT_BLOCKS onto the range decoder.
+        for block_entries in [crate::codec::DEFAULT_BLOCK_ENTRIES, 4] {
+            let path = tmp(&format!("concurrent_compressed_{block_entries}"));
+            let opts = crate::codec::CompressOptions {
+                block_entries,
+                quantize_values: false,
+            };
+            idx.save_v2(&path, &opts).unwrap();
+            let engine =
+                std::sync::Arc::new(SharedEngine::open_mmap_compressed(&g, &path).unwrap());
+            std::thread::scope(|s| {
+                for t in 0..4u32 {
+                    let engine = std::sync::Arc::clone(&engine);
+                    let (g, idx) = (&g, &idx);
+                    s.spawn(move || {
+                        let mut ws = QueryWorkspace::new();
+                        for i in 0..40u32 {
+                            let (u, v) = (NodeId((t * 17 + i) % 100), NodeId((i * 3 + 1) % 100));
+                            assert_eq!(
+                                engine.single_pair_with(g, &mut ws, u, v).unwrap(),
+                                idx.single_pair(g, u, v)
+                            );
+                        }
+                    });
+                }
+            });
+            // Prefetch stays advisory and harmless.
+            engine.store().prefetch(NodeId(3));
+            engine.store().prefetch(NodeId(99_999));
+            std::fs::remove_file(&path).ok();
+        }
+    }
+
+    #[test]
+    fn compressed_read_mode_follows_the_payload_geometry() {
+        let g = barabasi_albert(140, 3, 23).unwrap();
+        let idx = SlingIndex::build(&g, &cfg()).unwrap();
+        let open = |block_entries: usize| {
+            let path = tmp(&format!("mode_{block_entries}"));
+            let opts = crate::codec::CompressOptions {
+                block_entries,
+                quantize_values: false,
+            };
+            idx.save_v3(&path, &opts).unwrap();
+            let arena = CompressedMmapArena::open(&path).unwrap();
+            std::fs::remove_file(&path).ok();
+            arena
+        };
+        let count = |c: &std::sync::atomic::AtomicU64| c.load(std::sync::atomic::Ordering::Relaxed);
+        let mut scratch = Vec::new();
+        let mut want = Vec::new();
+
+        // Past RESIDENT_BLOCKS: every read is a range decode, served
+        // through the caller's scratch, never a borrowed block.
+        let ranged = open(4);
+        assert!(ranged.num_blocks() > RESIDENT_BLOCKS);
+        let before = count(&obs::KERNEL.run_decodes);
+        let mut reads = 0u64;
+        for v in g.nodes() {
+            idx.hp.entries_into(v, &mut want).unwrap();
+            let access = ranged.entries_ref(v, &mut scratch).unwrap();
+            assert!(matches!(access, EntryAccess::Slice(_)));
+            assert_eq!(
+                (0..access.len()).map(|i| access.get(i)).collect::<Vec<_>>(),
+                want
+            );
+            reads += u64::from(!want.is_empty());
+        }
+        // Counters are process-global (other tests read concurrently), so
+        // only a lower bound holds: at least one range decode per run.
+        assert!(count(&obs::KERNEL.run_decodes) - before >= reads);
+        for i in 0..idx.hp.total_entries() {
+            assert_eq!(ranged.entry_at(i).unwrap(), idx.hp.entry_at(i).unwrap());
+        }
+
+        // At or below it: blocks are decoded once and borrowed in place.
+        let resident = open(crate::codec::DEFAULT_BLOCK_ENTRIES);
+        assert!(resident.num_blocks() <= RESIDENT_BLOCKS);
+        let mut borrowed = 0;
+        for v in g.nodes() {
+            idx.hp.entries_into(v, &mut want).unwrap();
+            let access = resident.entries_ref(v, &mut scratch).unwrap();
+            borrowed += usize::from(matches!(access, EntryAccess::Block { .. }));
+            assert_eq!(
+                (0..access.len()).map(|i| access.get(i)).collect::<Vec<_>>(),
+                want
+            );
+        }
+        assert!(borrowed > 0, "no run was borrowed from a resident block");
+        assert!(resident.resident_bytes() > ranged.resident_bytes());
     }
 
     #[test]
@@ -2561,7 +2728,6 @@ mod tests {
             for (i, want) in expect.iter().enumerate() {
                 assert_eq!(&access.get(i), want);
             }
-            drop(access);
             // Mmap: raw little-endian section bytes, no scratch write.
             scratch.clear();
             let access = mmap.entries_ref(v, &mut scratch).unwrap();
@@ -2569,9 +2735,8 @@ mod tests {
             for (i, want) in expect.iter().enumerate() {
                 assert_eq!(&access.get(i), want);
             }
-            drop(access);
             assert!(scratch.is_empty(), "mmap entries_ref wrote scratch");
-            // Compressed: refcounted block for intra-block runs,
+            // Compressed: borrowed resident block for intra-block runs,
             // materialized slice for straddling ones — same entries.
             let access = compressed.entries_ref(v, &mut scratch).unwrap();
             match &access {
@@ -2609,6 +2774,51 @@ mod tests {
             }
         }
         assert_eq!(rejected, 1, "exactly the poisoned run must be rejected");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn range_reads_reject_a_poisoned_value() {
+        let g = barabasi_albert(80, 3, 3).unwrap();
+        let idx = SlingIndex::build(&g, &cfg()).unwrap();
+        let opts = crate::codec::CompressOptions {
+            block_entries: 4,
+            quantize_values: false,
+        };
+        let clean = idx.to_bytes_v2(&opts);
+        // An entry whose value bit pattern occurs once in the file: its
+        // raw or dictionary slot, which a NaN then poisons.
+        let find = |bits: u64| {
+            let pat = bits.to_le_bytes();
+            let hits: Vec<usize> = (0..clean.len() - 7)
+                .filter(|&p| clean[p..p + 8] == pat)
+                .collect();
+            (hits.len() == 1).then(|| hits[0])
+        };
+        let (i, at) = (0..idx.hp.total_entries())
+            .rev()
+            .find_map(|i| find(idx.hp.values[i].to_bits()).map(|at| (i, at)))
+            .expect("some value is stored once");
+        let mut bytes = clean.clone();
+        bytes[at..at + 8].copy_from_slice(&f64::NAN.to_bits().to_le_bytes());
+        let path = tmp("range_poison");
+        std::fs::write(&path, &bytes).unwrap();
+        let arena = CompressedMmapArena::open(&path).unwrap();
+        assert!(
+            arena.num_blocks() > RESIDENT_BLOCKS,
+            "reads must range-decode"
+        );
+        assert!(
+            arena.entry_at(i).is_err(),
+            "poisoned entry {i} was returned"
+        );
+        let owner = g
+            .nodes()
+            .find(|&v| HpStore::range(&idx.hp, v).contains(&i))
+            .unwrap();
+        let mut out = Vec::new();
+        assert!(arena.entries_into(owner, &mut out).is_err());
+        assert!(arena.entries_ref(owner, &mut out).is_err());
         std::fs::remove_file(&path).ok();
     }
 

@@ -14,8 +14,7 @@
 //!   skew parameters.
 //!
 //! SimRank methods only interact with topology statistics, so the paper's
-//! comparative results (who wins, by what rough factor) are preserved; see
-//! `DESIGN.md` §6 and `EXPERIMENTS.md` for the substitution discussion.
+//! comparative results (who wins, by what rough factor) are preserved.
 
 use crate::digraph::DiGraph;
 use crate::generators::{barabasi_albert, erdos_renyi_undirected, rmat, RmatConfig};

@@ -4,7 +4,8 @@
 //! print these to show that the synthetic Table-3 analogues reproduce the
 //! degree-distribution *family* of the datasets they stand in for
 //! (heavy-tailed for the web/social graphs, near-Poisson for the AS-style
-//! topologies). See `DESIGN.md` §6.
+//! topologies). The substitution itself is described in the
+//! [`crate::datasets`] module docs.
 
 use crate::digraph::DiGraph;
 use crate::node::NodeId;

@@ -1,6 +1,6 @@
 //! Deterministic random-graph generators and closed-form utility graphs.
 //!
-//! These stand in for the paper's real-world datasets (see `DESIGN.md` §6)
+//! These stand in for the paper's real-world datasets (see [`crate::datasets`])
 //! and supply the small structured graphs the test suites use to check
 //! SimRank values against hand-computed results.
 

@@ -19,7 +19,7 @@
 //!   utility graphs (cycles, stars, complete graphs, ...) used heavily by
 //!   the test suites.
 //! * [`datasets`] — the synthetic analogue of the paper's Table 3 dataset
-//!   suite, scaled to laptop size (see `DESIGN.md` §6 for the substitution
+//!   suite, scaled to laptop size (its module docs give the substitution
 //!   rationale).
 //! * [`fxhash`] — a minimal FxHash-style hasher for integer keys, used
 //!   across the workspace instead of SipHash-backed `std` maps.

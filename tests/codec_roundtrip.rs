@@ -1,8 +1,9 @@
 //! Codec and `SLNGIDX2` round-trip properties: v1 ↔ v2 conversion is
 //! lossless, per-block encode/decode survives adversarial run shapes
-//! (max-delta ids, single-entry runs, owner boundaries), and mutated or
-//! truncated v2 images are rejected or answered sanely — mirroring the
-//! v1 corruption properties in `backend_equivalence.rs`.
+//! (max-delta ids, single-entry runs, owner boundaries), the range
+//! decoder agrees with the whole-block decoder bit for bit, and mutated
+//! or truncated v2/v3 images are rejected or answered sanely — mirroring
+//! the v1 corruption properties in `backend_equivalence.rs`.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -10,9 +11,16 @@ use std::sync::OnceLock;
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use sling_simrank::core::codec::block::{decode_block, encode_block, run_starts, DecodedBlock};
-use sling_simrank::core::codec::CompressOptions;
-use sling_simrank::core::{inspect_bytes, FormatVersion, SharedEngine, SlingConfig, SlingIndex};
+use sling_simrank::core::codec::block::{
+    decode_block, decode_block_range, decode_block_with_dict, encode_block, run_starts,
+    DecodedBlock,
+};
+use sling_simrank::core::codec::{encode_payload, encode_payload_v3, CompressOptions};
+use sling_simrank::core::out_of_core::DiskHpStore;
+use sling_simrank::core::store::{CompressedMmapArena, HpStore};
+use sling_simrank::core::{
+    inspect_bytes, FormatVersion, HpEntry, SharedEngine, SlingConfig, SlingIndex,
+};
 use sling_simrank::graph::generators::{barabasi_albert, erdos_renyi_directed};
 use sling_simrank::graph::{DiGraph, NodeId};
 
@@ -213,6 +221,249 @@ proptest! {
     }
 }
 
+/// A compacted payload in memory: the concatenated blocks, their byte
+/// directory, and the v3 global dictionary (`None` for v2).
+struct Payload {
+    bytes: Vec<u8>,
+    block_offsets: Vec<u64>,
+    block_entries: usize,
+    global_dict: Option<Vec<f64>>,
+}
+
+/// The entry columns of `idx` and its per-node offset table.
+fn columns(idx: &SlingIndex) -> (Vec<u16>, Vec<u32>, Vec<f64>, Vec<u64>) {
+    let (mut steps, mut nodes, mut values, mut offsets) = (vec![], vec![], vec![], vec![0u64]);
+    for v in 0..idx.num_nodes() {
+        for e in idx.stored_entries(NodeId(v as u32)) {
+            steps.push(e.step);
+            nodes.push(e.node.0);
+            values.push(e.value);
+        }
+        offsets.push(steps.len() as u64);
+    }
+    (steps, nodes, values, offsets)
+}
+
+/// Check that every node's run, and every single entry, range-decodes
+/// bit-identically to the same entries of the whole-block decode.
+fn check_ranges_match_whole_blocks(p: &Payload, offsets: &[u64]) {
+    let total = *offsets.last().unwrap() as usize;
+    let num_blocks = p.block_offsets.len() - 1;
+    let be = p.block_entries;
+    let raw = |b: usize| &p.bytes[p.block_offsets[b] as usize..p.block_offsets[b + 1] as usize];
+    let expected = |b: usize| be.min(total - b * be);
+    let mut whole: Vec<HpEntry> = Vec::with_capacity(total);
+    let mut block = DecodedBlock::default();
+    for b in 0..num_blocks {
+        match &p.global_dict {
+            Some(dict) => decode_block_with_dict(raw(b), expected(b), dict, &mut block).unwrap(),
+            None => decode_block(raw(b), expected(b), &mut block).unwrap(),
+        }
+        for i in 0..block.len() {
+            whole.push(HpEntry::new(
+                block.steps[i],
+                NodeId(block.nodes[i]),
+                block.values[i],
+            ));
+        }
+    }
+    prop_assert_eq!(whole.len(), total);
+    let dict = p.global_dict.as_deref();
+    // Global entries `lo..hi`, one range decode per block they touch.
+    let range_decode = |lo: usize, hi: usize| {
+        let mut out = Vec::new();
+        for b in lo / be..=(hi - 1) / be {
+            let (a, z) = (
+                lo.max(b * be) - b * be,
+                hi.min(b * be + expected(b)) - b * be,
+            );
+            decode_block_range(raw(b), expected(b), dict, a..z, &mut out).unwrap();
+        }
+        out
+    };
+    let bits = |es: &[HpEntry]| -> Vec<(u16, u32, u64)> {
+        es.iter()
+            .map(|e| (e.step, e.node.0, e.value.to_bits()))
+            .collect()
+    };
+    for w in offsets.windows(2) {
+        let (lo, hi) = (w[0] as usize, w[1] as usize);
+        if lo < hi {
+            prop_assert_eq!(
+                bits(&range_decode(lo, hi)),
+                bits(&whole[lo..hi]),
+                "run {}..{}",
+                lo,
+                hi
+            );
+        }
+    }
+    for i in 0..total {
+        prop_assert_eq!(
+            bits(&range_decode(i, i + 1)),
+            bits(&whole[i..i + 1]),
+            "entry {}",
+            i
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: 12,
+        ..ProptestConfig::default()
+    })]
+
+    /// The range decoder the compressed backends serve runs through is
+    /// bit-identical to the whole-block decoder, for every node's run
+    /// (straddling runs decode each block's part) and every single
+    /// entry, across block sizes and all four payload kinds: v2 and v3,
+    /// lossless and quantized.
+    #[test]
+    fn range_decode_matches_whole_block_decode(
+        g in arb_graph(),
+        seed in 0u64..500,
+        space_reduction in proptest::bool::ANY,
+    ) {
+        let config = SlingConfig::from_epsilon(C, 0.1)
+            .with_seed(seed)
+            .with_space_reduction(space_reduction);
+        let idx = SlingIndex::build(&g, &config).unwrap();
+        let (steps, nodes, values, offsets) = columns(&idx);
+        for block_entries in [8usize, 64, 1024] {
+            for quantize_values in [false, true] {
+                let opts = CompressOptions { block_entries, quantize_values };
+                let v2 = encode_payload(&steps, &nodes, &values, &offsets, &opts);
+                check_ranges_match_whole_blocks(
+                    &Payload {
+                        bytes: v2.bytes,
+                        block_offsets: v2.block_offsets,
+                        block_entries: v2.block_entries,
+                        global_dict: None,
+                    },
+                    &offsets,
+                );
+                let v3 = encode_payload_v3(&steps, &nodes, &values, &offsets, &opts);
+                check_ranges_match_whole_blocks(
+                    &Payload {
+                        bytes: v3.bytes,
+                        block_offsets: v3.block_offsets,
+                        block_entries: v3.block_entries,
+                        global_dict: Some(v3.global_dict),
+                    },
+                    &offsets,
+                );
+            }
+        }
+    }
+}
+
+/// Bit-flip bit `bit` of byte `flip % len` of a compressed image: the
+/// compressed mmap open either surfaces a `SlingError` or yields an
+/// engine whose answers are still finite probabilities, and the eager
+/// decoder errors or yields a valid index. Nothing panics.
+fn assert_mutated_image_sane(g: &DiGraph, bytes: &[u8], tag: &str, flip: usize, bit: u8) {
+    let mut corrupt = bytes.to_vec();
+    let pos = flip % corrupt.len();
+    corrupt[pos] ^= 1 << bit;
+    let path = tmpfile(tag);
+    std::fs::write(&path, &corrupt).unwrap();
+
+    match SharedEngine::open_mmap_compressed(g, &path) {
+        Err(e) => {
+            let _ = e.to_string();
+        }
+        Ok(engine) => {
+            for u in [NodeId(0), NodeId(17), NodeId(39)] {
+                match engine.single_source(g, u) {
+                    Ok(scores) => {
+                        prop_assert!(
+                            scores
+                                .iter()
+                                .all(|s| s.is_finite() && (0.0..=1.0).contains(s)),
+                            "non-probability score after byte {pos} bit {bit}"
+                        );
+                    }
+                    Err(e) => {
+                        let _ = e.to_string();
+                    }
+                }
+                let _ = engine.top_k(g, u, 4);
+                let _ = engine.single_pair(g, u, NodeId(1));
+            }
+        }
+    }
+    // The eager decoder must hold the same line: error or a fully
+    // valid index, never a panic.
+    match SlingIndex::from_bytes(g, &corrupt) {
+        Ok(idx) => prop_assert!(idx.stats().entries_stored < 1 << 30),
+        Err(e) => {
+            let _ = e.to_string();
+        }
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+/// The mutation corpus compacted with 8-entry blocks: more blocks than
+/// the compressed backends keep decoded, so their reads take the range
+/// decoder. `v3` picks the format.
+fn small_block_corpus(v3: bool) -> &'static (DiGraph, Vec<u8>) {
+    static CORPORA: [OnceLock<(DiGraph, Vec<u8>)>; 2] = [OnceLock::new(), OnceLock::new()];
+    CORPORA[v3 as usize].get_or_init(|| {
+        let (g, _) = mutation_corpus();
+        let idx = SlingIndex::from_bytes(g, &mutation_corpus().1).unwrap();
+        let opts = CompressOptions {
+            block_entries: 8,
+            quantize_values: false,
+        };
+        let bytes = if v3 {
+            idx.to_bytes_v3(&opts)
+        } else {
+            idx.to_bytes_v2(&opts)
+        };
+        let path = tmpfile("small_blocks");
+        std::fs::write(&path, &bytes).unwrap();
+        let blocks = CompressedMmapArena::open(&path).unwrap().num_blocks();
+        std::fs::remove_file(&path).ok();
+        assert!(
+            blocks > 64,
+            "{blocks} blocks: the corpus would stay resident"
+        );
+        (g.clone(), bytes)
+    })
+}
+
+/// Read every run, every entry and some keys of a (possibly corrupt)
+/// blocked store: each read either errors or returns only validated
+/// entries — the right count, node ids `< n`, probability values.
+fn assert_reads_error_or_validate<S: HpStore>(store: &S, what: &str) {
+    let n = store.num_nodes();
+    let valid = |e: &HpEntry| {
+        (e.node.0 as usize) < n && e.value.is_finite() && (0.0..=1.0 + 1e-9).contains(&e.value)
+    };
+    let mut out = Vec::new();
+    for v in 0..n as u32 {
+        let range = store.range(NodeId(v));
+        if let Ok(()) = store.entries_into(NodeId(v), &mut out) {
+            prop_assert_eq!(out.len(), range.len(), "{} run of {}", what, v);
+            prop_assert!(out.iter().all(valid), "{what}: invalid entry in run of {v}");
+        }
+        let mut scratch = Vec::new();
+        if let Ok(access) = store.entries_ref(NodeId(v), &mut scratch) {
+            prop_assert!(
+                (0..access.len()).all(|i| valid(&access.get(i))),
+                "{what}: ref {v}"
+            );
+        }
+        let _ = store.contains_key(NodeId(v), 1, NodeId(0));
+    }
+    for i in 0..store.total_entries() {
+        if let Ok(e) = store.entry_at(i) {
+            prop_assert!(valid(&e), "{what}: entry {i}");
+        }
+    }
+}
+
 /// Shared corpus for the v2 mutation properties: one valid compressed
 /// index (small blocks so the directory is non-trivial).
 fn mutation_corpus() -> &'static (DiGraph, Vec<u8>) {
@@ -263,43 +514,7 @@ proptest! {
     #[test]
     fn v2_mutation_errors_or_stays_sane(flip in 0usize..1 << 20, bit in 0u8..8) {
         let (g, bytes) = mutation_corpus();
-        let mut corrupt = bytes.clone();
-        let pos = flip % corrupt.len();
-        corrupt[pos] ^= 1 << bit;
-        let path = tmpfile("mut");
-        std::fs::write(&path, &corrupt).unwrap();
-
-        match SharedEngine::open_mmap_compressed(g, &path) {
-            Err(e) => {
-                let _ = e.to_string();
-            }
-            Ok(engine) => {
-                for u in [NodeId(0), NodeId(17), NodeId(39)] {
-                    match engine.single_source(g, u) {
-                        Ok(scores) => {
-                            prop_assert!(
-                                scores.iter().all(|s| s.is_finite() && (0.0..=1.0).contains(s)),
-                                "non-probability score after byte {pos} bit {bit}"
-                            );
-                        }
-                        Err(e) => {
-                            let _ = e.to_string();
-                        }
-                    }
-                    let _ = engine.top_k(g, u, 4);
-                    let _ = engine.single_pair(g, u, NodeId(1));
-                }
-            }
-        }
-        // The eager decoder must hold the same line: error or a fully
-        // valid index, never a panic.
-        match SlingIndex::from_bytes(g, &corrupt) {
-            Ok(idx) => prop_assert!(idx.stats().entries_stored < 1 << 30),
-            Err(e) => {
-                let _ = e.to_string();
-            }
-        }
-        std::fs::remove_file(&path).ok();
+        assert_mutated_image_sane(g, bytes, "mut", flip, bit);
     }
 
     /// Any truncation of a v2 file is rejected at open.
@@ -324,39 +539,38 @@ proptest! {
     #[test]
     fn v3_mutation_errors_or_stays_sane(flip in 0usize..1 << 20, bit in 0u8..8) {
         let (g, bytes) = mutation_corpus_v3();
+        assert_mutated_image_sane(g, bytes, "mut3", flip, bit);
+    }
+
+    /// The v3 mutation property again on the 8-entry-block corpus, so
+    /// the engine reads through the range decoder rather than the
+    /// resident decoded blocks.
+    #[test]
+    fn v3_small_block_mutation_errors_or_stays_sane(flip in 0usize..1 << 20, bit in 0u8..8) {
+        let (g, bytes) = small_block_corpus(true);
+        assert_mutated_image_sane(g, bytes, "mut3s", flip, bit);
+    }
+
+    /// Range reads of a mutated v2/v3 image through both blocked
+    /// backends (mmap-compressed and disk) either error or return only
+    /// validated entries; nothing panics.
+    #[test]
+    fn range_reads_of_mutated_images_error_or_validate(
+        flip in 0usize..1 << 20,
+        bit in 0u8..8,
+        v3 in proptest::bool::ANY,
+    ) {
+        let (g, bytes) = small_block_corpus(v3);
         let mut corrupt = bytes.clone();
         let pos = flip % corrupt.len();
         corrupt[pos] ^= 1 << bit;
-        let path = tmpfile("mut3");
+        let path = tmpfile("mutr");
         std::fs::write(&path, &corrupt).unwrap();
-
-        match SharedEngine::open_mmap_compressed(g, &path) {
-            Err(e) => {
-                let _ = e.to_string();
-            }
-            Ok(engine) => {
-                for u in [NodeId(0), NodeId(17), NodeId(39)] {
-                    match engine.single_source(g, u) {
-                        Ok(scores) => {
-                            prop_assert!(
-                                scores.iter().all(|s| s.is_finite() && (0.0..=1.0).contains(s)),
-                                "non-probability score after byte {pos} bit {bit}"
-                            );
-                        }
-                        Err(e) => {
-                            let _ = e.to_string();
-                        }
-                    }
-                    let _ = engine.top_k(g, u, 4);
-                    let _ = engine.single_pair(g, u, NodeId(1));
-                }
-            }
+        if let Ok(arena) = CompressedMmapArena::open(&path) {
+            assert_reads_error_or_validate(&arena, "mmap-compressed");
         }
-        match SlingIndex::from_bytes(g, &corrupt) {
-            Ok(idx) => prop_assert!(idx.stats().entries_stored < 1 << 30),
-            Err(e) => {
-                let _ = e.to_string();
-            }
+        if let Ok(disk) = DiskHpStore::open(g, &path) {
+            assert_reads_error_or_validate(&disk, "disk");
         }
         std::fs::remove_file(&path).ok();
     }
