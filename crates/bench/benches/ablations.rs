@@ -13,8 +13,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use sling_bench::{params_for, sample_pairs, sling_config};
-use sling_core::cache::CachedQueries;
-use sling_core::{QueryWorkspace, SlingIndex};
+use sling_core::{QueryWorkspace, ShardedResultCache, SharedEngine, SlingIndex};
 use sling_graph::datasets::{by_name, Tier};
 use sling_graph::NodeId;
 
@@ -139,13 +138,18 @@ fn bench_query_cache(c: &mut Criterion) {
             std::hint::black_box(index.single_pair_with(&graph, &mut ws, u, v))
         })
     });
-    let mut cache = CachedQueries::new(&index, 4096);
+    let engine = SharedEngine::from(index.clone());
+    let cache = ShardedResultCache::new(4096, 1);
     let mut cursor = 0usize;
     group.bench_function("lru_cached", |b| {
         b.iter(|| {
             let (u, v) = workload[cursor % workload.len()];
             cursor += 1;
-            std::hint::black_box(cache.single_pair(&graph, u, v))
+            std::hint::black_box(
+                engine
+                    .single_pair_cached(&graph, &mut ws, &cache, u, v)
+                    .unwrap(),
+            )
         })
     });
     group.finish();

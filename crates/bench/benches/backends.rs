@@ -1,7 +1,6 @@
 //! Storage-backend comparison: the same persisted index served by the
 //! in-memory arena, the zero-copy mmap view, the raw positioned-read
-//! disk store, the LRU-buffered disk store — and the block-compressed
-//! `SLNGIDX2` variants (mmap + disk, lossless and quantized). Reports
+//! disk store — and the block-compressed `SLNGIDX2` variants (mmap + disk, lossless and quantized). Reports
 //! the on-disk footprint of each format up front, then measures
 //! single-pair and single-source latency per backend: the price of each
 //! residency profile, and the benchmark behind both the §5.4 claim that
@@ -11,10 +10,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sling_bench::{params_for, sample_pairs, sling_config};
 use sling_core::codec::CompressOptions;
-use sling_core::disk_query::BufferedDiskStore;
-use sling_core::out_of_core::DiskHpStore;
 use sling_core::single_source::SingleSourceWorkspace;
-use sling_core::{inspect_file, HpStore, QueryEngine, QueryWorkspace, SlingIndex};
+use sling_core::{inspect_file, QueryWorkspace, SharedEngine, SlingIndex};
 use sling_graph::datasets::{by_name, Tier};
 use sling_graph::NodeId;
 
@@ -59,24 +56,34 @@ fn bench_backends(c: &mut Criterion) {
         );
     }
 
-    let mem = index.query_engine();
-    let mmap = QueryEngine::open_mmap(&graph, &path).unwrap();
-    let mmap_v2 = QueryEngine::open_mmap_compressed(&graph, &v2_path).unwrap();
-    let mmap_v2q = QueryEngine::open_mmap_compressed(&graph, &v2q_path).unwrap();
-    let disk = DiskHpStore::open(&graph, &path).unwrap();
-    let disk_engine = disk.query_engine();
-    let disk_v2 = DiskHpStore::open(&graph, &v2_path).unwrap();
-    let disk_v2_engine = disk_v2.query_engine();
-    let buffered = BufferedDiskStore::new(&disk, 1 << 20);
-    let buffered_engine = buffered.query_engine();
-    let engines: [(&str, QueryEngine<'_, &dyn HpStore>); 7] = [
-        ("mem", mem.erase()),
-        ("mmap", mmap.erase()),
-        ("mmap_compressed", mmap_v2.erase()),
-        ("mmap_quantized", mmap_v2q.erase()),
-        ("disk", disk_engine.erase()),
-        ("disk_compressed", disk_v2_engine.erase()),
-        ("disk_buffered", buffered_engine.erase()),
+    let engines = [
+        ("mem", SharedEngine::from(index).into_dyn()),
+        (
+            "mmap",
+            SharedEngine::open_mmap(&graph, &path).unwrap().into_dyn(),
+        ),
+        (
+            "mmap_compressed",
+            SharedEngine::open_mmap_compressed(&graph, &v2_path)
+                .unwrap()
+                .into_dyn(),
+        ),
+        (
+            "mmap_quantized",
+            SharedEngine::open_mmap_compressed(&graph, &v2q_path)
+                .unwrap()
+                .into_dyn(),
+        ),
+        (
+            "disk",
+            SharedEngine::open_disk(&graph, &path).unwrap().into_dyn(),
+        ),
+        (
+            "disk_compressed",
+            SharedEngine::open_disk(&graph, &v2_path)
+                .unwrap()
+                .into_dyn(),
+        ),
     ];
 
     let pairs = sample_pairs(graph.num_nodes(), 512, 3);

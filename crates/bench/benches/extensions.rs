@@ -6,8 +6,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use sling_bench::{params_for, sling_config};
 use sling_core::dynamic::{DynamicConfig, DynamicSling, StalePolicy};
 use sling_core::join::JoinStrategy;
-use sling_core::out_of_core::DiskHpStore;
-use sling_core::SlingIndex;
+use sling_core::{SharedEngine, SlingIndex};
 use sling_graph::datasets::{by_name, Tier};
 use sling_graph::NodeId;
 
@@ -71,7 +70,8 @@ fn bench_disk_store(c: &mut Criterion) {
     let params = params_for(Tier::Small, Some(0.05));
     let index = SlingIndex::build(&graph, &sling_config(&params, 42)).unwrap();
     let path = std::env::temp_dir().join(format!("sling_bench_disk_{}", std::process::id()));
-    let store = DiskHpStore::create(&index, &path).unwrap();
+    index.save(&path).unwrap();
+    let engine = SharedEngine::open_disk(&graph, &path).unwrap();
     let n = graph.num_nodes() as u32;
     let mut group = c.benchmark_group("extensions/out_of_core_query");
     group.sample_size(20);
@@ -80,7 +80,7 @@ fn bench_disk_store(c: &mut Criterion) {
         b.iter(|| {
             let (u, v) = (i % n, (i * 31 + 5) % n);
             i += 1;
-            std::hint::black_box(store.single_pair(&graph, NodeId(u), NodeId(v)).unwrap())
+            std::hint::black_box(engine.single_pair(&graph, NodeId(u), NodeId(v)).unwrap())
         })
     });
     let mut i = 0u32;
@@ -88,7 +88,7 @@ fn bench_disk_store(c: &mut Criterion) {
         b.iter(|| {
             let u = i % n;
             i += 1;
-            std::hint::black_box(store.single_source(&graph, NodeId(u)).unwrap())
+            std::hint::black_box(engine.single_source(&graph, NodeId(u)).unwrap())
         })
     });
     group.finish();

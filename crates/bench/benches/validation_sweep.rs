@@ -14,7 +14,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sling_bench::{params_for, sling_config};
 use sling_core::codec::CompressOptions;
-use sling_core::{QueryEngine, QueryWorkspace, SlingIndex};
+use sling_core::{QueryWorkspace, SharedEngine, SlingIndex};
 use sling_graph::datasets::{by_name, Tier};
 use sling_graph::NodeId;
 
@@ -36,9 +36,21 @@ fn bench_validation_sweep(c: &mut Criterion) {
     };
     index.save_v3(&v3_path, &opts).unwrap();
 
-    let mem = index.query_engine();
-    let mmap = QueryEngine::open_mmap(&graph, &raw_path).unwrap();
-    let compressed = QueryEngine::open_mmap_compressed(&graph, &v3_path).unwrap();
+    let engines = [
+        ("mem", SharedEngine::from(index).into_dyn()),
+        (
+            "mmap",
+            SharedEngine::open_mmap(&graph, &raw_path)
+                .unwrap()
+                .into_dyn(),
+        ),
+        (
+            "mmap-compressed",
+            SharedEngine::open_mmap_compressed(&graph, &v3_path)
+                .unwrap()
+                .into_dyn(),
+        ),
+    ];
 
     let n = graph.num_nodes() as u32;
     let hub = graph
@@ -50,11 +62,7 @@ fn bench_validation_sweep(c: &mut Criterion) {
         .collect();
 
     let mut group = c.benchmark_group("validation_sweep/hub_pair");
-    for (backend, engine) in [
-        ("mem", &mem.erase()),
-        ("mmap", &mmap.erase()),
-        ("mmap-compressed", &compressed.erase()),
-    ] {
+    for (backend, engine) in &engines {
         let mut ws = QueryWorkspace::new();
         let mut cursor = 0usize;
         group.bench_with_input(BenchmarkId::from_parameter(backend), &(), |b, _| {

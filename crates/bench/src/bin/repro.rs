@@ -602,10 +602,9 @@ fn fig10(opts: &Options) {
 /// evaluation (top-k strategies, similarity joins, dynamic maintenance,
 /// query cache, disk-resident queries).
 fn extensions(opts: &Options) {
-    use sling_core::cache::CachedQueries;
     use sling_core::dynamic::{DynamicConfig, DynamicSling, StalePolicy};
     use sling_core::join::JoinStrategy;
-    use sling_core::out_of_core::DiskHpStore;
+    use sling_core::{ShardedResultCache, SharedEngine};
     use sling_graph::NodeId;
 
     println!("\n== extensions: costs of the beyond-paper query types ==");
@@ -721,10 +720,15 @@ fn extensions(opts: &Options) {
                 std::hint::black_box(index.single_pair_with(&graph, &mut ws, u, v));
             }
         });
-        let mut cache = CachedQueries::new(&index, 4096);
+        let engine = SharedEngine::from(index.clone());
+        let cache = ShardedResultCache::new(4096, 1);
         let (_, t_cached) = time(|| {
             for &(u, v) in &workload {
-                std::hint::black_box(cache.single_pair(&graph, u, v));
+                std::hint::black_box(
+                    engine
+                        .single_pair_cached(&graph, &mut ws, &cache, u, v)
+                        .unwrap(),
+                );
             }
         });
         println!(
@@ -736,23 +740,24 @@ fn extensions(opts: &Options) {
 
         // Disk-resident queries.
         let path = std::env::temp_dir().join(format!("sling_repro_disk_{}", std::process::id()));
-        let store = DiskHpStore::create(&index, &path).unwrap();
+        index.save(&path).unwrap();
+        let disk = SharedEngine::open_disk(&graph, &path).unwrap();
         let pairs = sample_pairs(n, if opts.quick { 64 } else { 512 }, 17);
         let (_, t_disk) = time(|| {
             for &(u, v) in &pairs {
-                std::hint::black_box(store.single_pair(&graph, u, v).unwrap());
+                std::hint::black_box(disk.single_pair(&graph, u, v).unwrap());
             }
         });
         let (_, t_disk_ss) = time(|| {
             for &u in sources.iter().take(16) {
-                std::hint::black_box(store.single_source(&graph, u).unwrap());
+                std::hint::black_box(disk.single_source(&graph, u).unwrap());
             }
         });
         println!(
             "disk store                single-pair {:>9}/q   single-source {:>9}/q   resident {} KB",
             fmt_secs(t_disk / pairs.len() as f64),
             fmt_secs(t_disk_ss / 16.0),
-            store.resident_bytes() / 1024,
+            disk.resident_bytes() / 1024,
         );
         std::fs::remove_file(&path).ok();
     }

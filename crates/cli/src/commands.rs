@@ -9,17 +9,15 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
 
-use sling_core::disk_query::BufferedDiskStore;
 use sling_core::lifecycle::{GenId, GenerationStore};
 use sling_core::obs::{MetricsRegistry, StageNanos};
-use sling_core::out_of_core::DiskHpStore;
 use sling_core::workload::{
     adversarial_cold_scan, characterize, diurnal_burst, read_trace_file, read_trace_tolerant,
     zipf_sweep, SynthOpts, Trace, TraceKey, TraceRecord, TraceVerb, TraceWriter,
 };
 use sling_core::{
-    Admission, HpStore, QueryEngine, QueryWorkspace, ShardedResultCache, SharedEngine, SlingConfig,
-    SlingError, SlingIndex,
+    Admission, HpStore, QueryWorkspace, ShardedResultCache, SharedEngine, SlingConfig, SlingError,
+    SlingIndex,
 };
 use sling_graph::traversal::double_sweep_diameter;
 use sling_graph::{
@@ -47,14 +45,15 @@ COMMANDS:
   query GRAPH INDEX source U [--top K]    single-source scores / top-k
   join GRAPH INDEX --tau T [--limit L]    all pairs with score >= T
 
-  query and join accept --index-backend {mem,mmap,mmap-compressed,disk}:
+  query, join, batch, serve and bench-serve accept
+  --index-backend {mem,mmap,mmap-compressed,disk}:
     mem              decode the whole index into memory (default)
     mmap             zero-copy memory-mapped reads from a SLNGIDX1 file
     mmap-compressed  block-decoded memory-mapped reads from a SLNGIDX2/3
                      file (see compact): small files keep every block
                      decoded, larger ones decode only the entries read
-    disk             positioned reads (any format) with an LRU buffer
-                     pool (--buffer-entries N)
+    disk             positioned reads (any format); repeated reads hit
+                     the operating system's page cache
   All backends return identical scores (bit-identical for lossless files).
   compact INDEX --out FILE [--quantize] [--block-entries N] [--format v2|v3]
                                           convert to a block-compressed format
@@ -165,7 +164,7 @@ COMMANDS:
         [--sources N] [--threads T] [--seed S] [--trace]
                                           pinned single-pair / single-source /
                                           top-k / batch workloads across all
-                                          seven storage backends; writes the
+                                          six storage backends; writes the
                                           machine-readable BENCH_query.json
                                           perf baseline (default --out);
                                           --trace appends the per-stage
@@ -357,39 +356,25 @@ fn parse_backend(args: &Args) -> Result<IndexBackend, String> {
     }
 }
 
-/// Run `f` against a query engine over the selected backend. The three
-/// backends serve the same persisted index and return identical scores;
-/// only the residency profile differs (full decode vs page cache vs
-/// buffer pool).
-fn with_backend<R>(
-    backend: IndexBackend,
-    graph: &DiGraph,
-    index_path: &str,
-    buffer_entries: usize,
-    f: impl Fn(&QueryEngine<'_, &dyn HpStore>) -> Result<R, String>,
-) -> Result<R, String> {
-    match backend {
-        IndexBackend::Mem => {
-            let index = load_index(graph, index_path)?;
-            f(&index.query_engine().erase())
-        }
-        IndexBackend::Mmap => {
-            let engine = QueryEngine::open_mmap(graph, index_path)
-                .map_err(|e| format!("{index_path}: {e}"))?;
-            f(&engine.erase())
-        }
-        IndexBackend::MmapCompressed => {
-            let engine = QueryEngine::open_mmap_compressed(graph, index_path)
-                .map_err(|e| format!("{index_path}: {e}"))?;
-            f(&engine.erase())
-        }
-        IndexBackend::Disk => {
-            let store =
-                DiskHpStore::open(graph, index_path).map_err(|e| format!("{index_path}: {e}"))?;
-            let buffered = BufferedDiskStore::new(&store, buffer_entries);
-            f(&buffered.query_engine().erase())
-        }
-    }
+/// The query engine every command serves, over whichever backend
+/// `--index-backend` selected.
+type Engine = SharedEngine<Box<dyn HpStore + Send + Sync>>;
+
+/// Open `path` as a query engine over `backend`. Every backend serves the
+/// same persisted index with identical scores; only the residency
+/// profile differs (full decode vs page cache vs positioned reads).
+fn open_engine(backend: IndexBackend, graph: &DiGraph, path: &Path) -> Result<Engine, SlingError> {
+    Ok(match backend {
+        IndexBackend::Mem => SharedEngine::from(SlingIndex::load(graph, path)?).into_dyn(),
+        IndexBackend::Mmap => SharedEngine::open_mmap(graph, path)?.into_dyn(),
+        IndexBackend::MmapCompressed => SharedEngine::open_mmap_compressed(graph, path)?.into_dyn(),
+        IndexBackend::Disk => SharedEngine::open_disk(graph, path)?.into_dyn(),
+    })
+}
+
+/// [`open_engine`] with the index path prefixed to any error.
+fn open_index(backend: IndexBackend, graph: &DiGraph, index_path: &str) -> Result<Engine, String> {
+    open_engine(backend, graph, Path::new(index_path)).map_err(|e| format!("{index_path}: {e}"))
 }
 
 fn parse_node(raw: &str, n: usize) -> Result<NodeId, String> {
@@ -407,42 +392,39 @@ pub fn cmd_query(args: &Args) -> Result<String, String> {
     let index_path = args.positional(1, "index")?;
     let mode = args.positional(2, "pair|source")?;
     let backend = parse_backend(args)?;
-    let buffer_entries: usize = args.flag_parse("buffer-entries", 1usize << 20)?;
     let g = load_graph(graph_path)?;
     match mode {
         "pair" => {
             let u = parse_node(args.positional(3, "u")?, g.num_nodes())?;
             let v = parse_node(args.positional(4, "v")?, g.num_nodes())?;
-            with_backend(backend, &g, index_path, buffer_entries, |engine| {
-                let start = std::time::Instant::now();
-                let s = engine.single_pair(&g, u, v).map_err(|e| e.to_string())?;
-                Ok(format!(
-                    "s({}, {}) = {s:.6}   [{:.1?}, {backend:?} backend]",
-                    u.0,
-                    v.0,
-                    start.elapsed()
-                ))
-            })
+            let engine = open_index(backend, &g, index_path)?;
+            let start = std::time::Instant::now();
+            let s = engine.single_pair(&g, u, v).map_err(|e| e.to_string())?;
+            Ok(format!(
+                "s({}, {}) = {s:.6}   [{:.1?}, {backend:?} backend]",
+                u.0,
+                v.0,
+                start.elapsed()
+            ))
         }
         "source" => {
             let u = parse_node(args.positional(3, "u")?, g.num_nodes())?;
             let k: usize = args.flag_parse("top", 10usize)?;
-            with_backend(backend, &g, index_path, buffer_entries, |engine| {
-                let start = std::time::Instant::now();
-                let top = engine.top_k(&g, u, k).map_err(|e| e.to_string())?;
-                let elapsed = start.elapsed();
-                let mut out = String::new();
-                writeln!(
-                    out,
-                    "top {} similar to node {}   [{:.1?}, {backend:?} backend]",
-                    k, u.0, elapsed
-                )
-                .unwrap();
-                for (v, s) in top {
-                    writeln!(out, "  {:>8}  {s:.6}", v.0).unwrap();
-                }
-                Ok(out)
-            })
+            let engine = open_index(backend, &g, index_path)?;
+            let start = std::time::Instant::now();
+            let top = engine.top_k(&g, u, k).map_err(|e| e.to_string())?;
+            let elapsed = start.elapsed();
+            let mut out = String::new();
+            writeln!(
+                out,
+                "top {} similar to node {}   [{:.1?}, {backend:?} backend]",
+                k, u.0, elapsed
+            )
+            .unwrap();
+            for (v, s) in top {
+                writeln!(out, "  {:>8}  {s:.6}", v.0).unwrap();
+            }
+            Ok(out)
         }
         other => Err(format!("unknown query mode {other:?} (pair|source)")),
     }
@@ -455,22 +437,20 @@ pub fn cmd_join(args: &Args) -> Result<String, String> {
     let tau: f64 = args.flag_required("tau")?;
     let limit: usize = args.flag_parse("limit", 50usize)?;
     let backend = parse_backend(args)?;
-    let buffer_entries: usize = args.flag_parse("buffer-entries", 1usize << 20)?;
     let g = load_graph(graph_path)?;
-    with_backend(backend, &g, index_path, buffer_entries, |engine| {
-        let pairs = engine
-            .threshold_join(&g, tau, sling_core::join::JoinStrategy::InvertedLists)
-            .map_err(|e| e.to_string())?;
-        let mut out = String::new();
-        writeln!(out, "{} pairs with s >= {tau}", pairs.len()).unwrap();
-        for p in pairs.iter().take(limit) {
-            writeln!(out, "  ({:>6}, {:>6})  {:.6}", p.u.0, p.v.0, p.score).unwrap();
-        }
-        if pairs.len() > limit {
-            writeln!(out, "  ... {} more (raise --limit)", pairs.len() - limit).unwrap();
-        }
-        Ok(out)
-    })
+    let engine = open_index(backend, &g, index_path)?;
+    let pairs = engine
+        .threshold_join(&g, tau, sling_core::join::JoinStrategy::InvertedLists)
+        .map_err(|e| e.to_string())?;
+    let mut out = String::new();
+    writeln!(out, "{} pairs with s >= {tau}", pairs.len()).unwrap();
+    for p in pairs.iter().take(limit) {
+        writeln!(out, "  ({:>6}, {:>6})  {:.6}", p.u.0, p.v.0, p.score).unwrap();
+    }
+    if pairs.len() > limit {
+        writeln!(out, "  ... {} more (raise --limit)", pairs.len() - limit).unwrap();
+    }
+    Ok(out)
 }
 
 fn xorshift(state: &mut u64) -> u64 {
@@ -620,36 +600,7 @@ pub fn cmd_batch(args: &Args) -> Result<String, String> {
             })
             .collect()
     };
-    match backend {
-        IndexBackend::Mem => {
-            let index = load_index(&g, index_path)?;
-            run_batch(index.into_shared_engine(), &g, &pairs, threads, cache_cap)
-        }
-        IndexBackend::Mmap => {
-            let engine = SharedEngine::open_mmap(&g, index_path)
-                .map_err(|e| format!("{index_path}: {e}"))?;
-            run_batch(engine, &g, &pairs, threads, cache_cap)
-        }
-        IndexBackend::MmapCompressed => {
-            let engine = SharedEngine::open_mmap_compressed(&g, index_path)
-                .map_err(|e| format!("{index_path}: {e}"))?;
-            run_batch(engine, &g, &pairs, threads, cache_cap)
-        }
-        IndexBackend::Disk => {
-            let store =
-                DiskHpStore::open(&g, index_path).map_err(|e| format!("{index_path}: {e}"))?;
-            run_batch(store.into_shared_engine(), &g, &pairs, threads, cache_cap)
-        }
-    }
-}
-
-fn run_batch<S: HpStore + Sync>(
-    engine: SharedEngine<S>,
-    g: &DiGraph,
-    pairs: &[(NodeId, NodeId)],
-    threads: usize,
-    cache_cap: usize,
-) -> Result<String, String> {
+    let engine = open_index(backend, &g, index_path)?;
     // Canonicalize up front so the cached and cacheless paths compute
     // the same (min, max) orientation — SimRank is symmetric, but float
     // merge order is not, and answers must not depend on --cache.
@@ -662,12 +613,12 @@ fn run_batch<S: HpStore + Sync>(
     let (scores, cache_line) = if cache_cap > 0 {
         let cache = ShardedResultCache::with_capacity(cache_cap);
         let scores = engine
-            .batch_single_pair_cached(g, pairs, threads, &cache)
+            .batch_single_pair_cached(&g, pairs, threads, &cache)
             .map_err(|e| e.to_string())?;
         (scores, format_cache_stats(cache.stats()))
     } else {
         let scores = engine
-            .batch_single_pair(g, pairs, threads)
+            .batch_single_pair(&g, pairs, threads)
             .map_err(|e| e.to_string())?;
         (scores, "cache: off".to_string())
     };
@@ -803,40 +754,7 @@ pub fn cmd_serve(args: &Args) -> Result<String, String> {
             Ok(path) => Some(Arc::new(load_graph(path)?)),
             Err(_) => None,
         };
-        return match backend {
-            IndexBackend::Mem => serve_root(
-                store,
-                fallback,
-                |g, p| SlingIndex::load(g, p).map(SlingIndex::into_shared_engine),
-                listener,
-                config,
-                snapshot,
-            ),
-            IndexBackend::Mmap => serve_root(
-                store,
-                fallback,
-                |g, p| SharedEngine::open_mmap(g, p),
-                listener,
-                config,
-                snapshot,
-            ),
-            IndexBackend::MmapCompressed => serve_root(
-                store,
-                fallback,
-                |g, p| SharedEngine::open_mmap_compressed(g, p),
-                listener,
-                config,
-                snapshot,
-            ),
-            IndexBackend::Disk => serve_root(
-                store,
-                fallback,
-                |g, p| DiskHpStore::open(g, p).map(DiskHpStore::into_shared_engine),
-                listener,
-                config,
-                snapshot,
-            ),
-        };
+        return serve_root(store, fallback, backend, listener, config, snapshot);
     }
     // Pinned single-index serving: there is nothing to watch, so a
     // watch flag here means the operator expected hot reload and must
@@ -851,45 +769,24 @@ pub fn cmd_serve(args: &Args) -> Result<String, String> {
     let graph_path = args.positional(0, "graph")?;
     let index_path = args.positional(1, "index")?;
     let g = load_graph(graph_path)?;
-    match backend {
-        IndexBackend::Mem => {
-            let index = load_index(&g, index_path)?;
-            serve_and_join(index.into_shared_engine(), g, listener, config, snapshot)
-        }
-        IndexBackend::Mmap => {
-            let engine = SharedEngine::open_mmap(&g, index_path)
-                .map_err(|e| format!("{index_path}: {e}"))?;
-            serve_and_join(engine, g, listener, config, snapshot)
-        }
-        IndexBackend::MmapCompressed => {
-            let engine = SharedEngine::open_mmap_compressed(&g, index_path)
-                .map_err(|e| format!("{index_path}: {e}"))?;
-            serve_and_join(engine, g, listener, config, snapshot)
-        }
-        IndexBackend::Disk => {
-            let store =
-                DiskHpStore::open(&g, index_path).map_err(|e| format!("{index_path}: {e}"))?;
-            serve_and_join(store.into_shared_engine(), g, listener, config, snapshot)
-        }
-    }
+    let engine = open_index(backend, &g, index_path)?;
+    serve_and_join(engine, g, listener, config, snapshot)
 }
 
 /// Serve the promoted generation of a store, hot-swapping on promotion.
-fn serve_root<S, F>(
+fn serve_root(
     store: GenerationStore,
     fallback_graph: Option<Arc<DiGraph>>,
-    open: F,
+    backend: IndexBackend,
     listener: Listener,
     config: ServerConfig,
     snapshot: Option<SnapshotOpts>,
-) -> Result<String, String>
-where
-    S: HpStore + Send + Sync + 'static,
-    F: Fn(&DiGraph, &Path) -> Result<SharedEngine<S>, SlingError> + Send + Sync + 'static,
-{
+) -> Result<String, String> {
     let root = store.root().display().to_string();
-    let reloadable = ReloadableEngine::watching_store(store, fallback_graph, open)
-        .map_err(|e| format!("{root}: {e}"))?;
+    let reloadable = ReloadableEngine::watching_store(store, fallback_graph, move |g, p| {
+        open_engine(backend, g, p)
+    })
+    .map_err(|e| format!("{root}: {e}"))?;
     let info = reloadable.info();
     let watch_interval_ms = config.watch_interval_ms;
     let handle = serve_reloadable(Arc::new(reloadable), listener, config)
@@ -918,8 +815,8 @@ where
     Ok(format_server_report("server shut down", &report))
 }
 
-fn serve_and_join<S: HpStore + Send + Sync + 'static>(
-    engine: SharedEngine<S>,
+fn serve_and_join(
+    engine: Engine,
     graph: DiGraph,
     listener: Listener,
     config: ServerConfig,
@@ -1588,27 +1485,8 @@ pub fn cmd_bench_serve(args: &Args) -> Result<String, String> {
         return Err(format!("--hot must lie in [0,1], got {}", opts.hot));
     }
     let g = load_graph(graph_path)?;
-    match backend {
-        IndexBackend::Mem => {
-            let index = load_index(&g, index_path)?;
-            bench_serve_entry(Arc::new(index.into_shared_engine()), Arc::new(g), &opts)
-        }
-        IndexBackend::Mmap => {
-            let engine = SharedEngine::open_mmap(&g, index_path)
-                .map_err(|e| format!("{index_path}: {e}"))?;
-            bench_serve_entry(Arc::new(engine), Arc::new(g), &opts)
-        }
-        IndexBackend::MmapCompressed => {
-            let engine = SharedEngine::open_mmap_compressed(&g, index_path)
-                .map_err(|e| format!("{index_path}: {e}"))?;
-            bench_serve_entry(Arc::new(engine), Arc::new(g), &opts)
-        }
-        IndexBackend::Disk => {
-            let store =
-                DiskHpStore::open(&g, index_path).map_err(|e| format!("{index_path}: {e}"))?;
-            bench_serve_entry(Arc::new(store.into_shared_engine()), Arc::new(g), &opts)
-        }
-    }
+    let engine = open_index(backend, &g, index_path)?;
+    bench_serve_entry(Arc::new(engine), Arc::new(g), &opts)
 }
 
 /// Parsed `bench-serve` options shared by the single-run and sweep paths.
@@ -1705,8 +1583,8 @@ fn stats_value(stats: &str, key: &str) -> u64 {
         .unwrap_or(0)
 }
 
-fn bench_serve_entry<S: HpStore + Send + Sync + 'static>(
-    engine: Arc<SharedEngine<S>>,
+fn bench_serve_entry(
+    engine: Arc<Engine>,
     graph: Arc<DiGraph>,
     opts: &ServeBenchOpts,
 ) -> Result<String, String> {
@@ -1732,8 +1610,8 @@ fn bench_serve_entry<S: HpStore + Send + Sync + 'static>(
 /// The committed-baseline sweep behind `bench-serve --out`: worker
 /// scaling over TCP, then the ≥1k mostly-idle-connection runs the epoll
 /// rewrite exists for, on both transports.
-fn bench_serve_sweep<S: HpStore + Send + Sync + 'static>(
-    engine: Arc<SharedEngine<S>>,
+fn bench_serve_sweep(
+    engine: Arc<Engine>,
     graph: Arc<DiGraph>,
     opts: &ServeBenchOpts,
     out_path: &str,
@@ -1874,8 +1752,8 @@ fn open_idle_sock(
     }
 }
 
-fn bench_serve_run<S: HpStore + Send + Sync + 'static>(
-    engine: Arc<SharedEngine<S>>,
+fn bench_serve_run(
+    engine: Arc<Engine>,
     graph: Arc<DiGraph>,
     transport: ServeTransport,
     connections: usize,
@@ -2123,14 +2001,14 @@ pub fn run(argv: &[String]) -> Result<String, String> {
         "query" => cmd_query(&Args::parse(
             rest.iter().cloned(),
             Spec {
-                value_flags: &["top", "index-backend", "buffer-entries"],
+                value_flags: &["top", "index-backend"],
                 switches: &[],
             },
         )?),
         "join" => cmd_join(&Args::parse(
             rest.iter().cloned(),
             Spec {
-                value_flags: &["tau", "limit", "index-backend", "buffer-entries"],
+                value_flags: &["tau", "limit", "index-backend"],
                 switches: &[],
             },
         )?),
@@ -2742,9 +2620,9 @@ fn record(
 /// other backend must reproduce them bit-for-bit before being timed —
 /// a perf number for a kernel that silently diverged is worse than no
 /// number.
-fn bench_one_backend<S: HpStore + Sync>(
+fn bench_one_backend(
     backend: &'static str,
-    engine: &QueryEngine<'_, S>,
+    engine: &Engine,
     g: &DiGraph,
     w: &BenchWorkloads,
     spot: &mut Vec<f64>,
@@ -2879,8 +2757,27 @@ fn bench_one_backend<S: HpStore + Sync>(
     Ok(())
 }
 
+const BENCH_V1: &str = "bench.slng";
+const BENCH_V3: &str = "bench.slng3";
+const BENCH_V3_QUANTIZED: &str = "bench.q.slng3";
+
+/// The backend rows of `bench-query`: report name, backend, and the file
+/// it serves. `mem` runs first and pins the spot-check answers.
+const BENCH_BACKENDS: [(&str, IndexBackend, &str); 6] = [
+    ("mem", IndexBackend::Mem, BENCH_V1),
+    ("mmap", IndexBackend::Mmap, BENCH_V1),
+    ("mmap-compressed", IndexBackend::MmapCompressed, BENCH_V3),
+    (
+        "mmap-compressed-quantized",
+        IndexBackend::MmapCompressed,
+        BENCH_V3_QUANTIZED,
+    ),
+    ("disk", IndexBackend::Disk, BENCH_V1),
+    ("disk-compressed", IndexBackend::Disk, BENCH_V3),
+];
+
 /// `sling bench-query` — pinned single-pair / single-source / top-k /
-/// batch workloads across all seven storage backends, emitting the
+/// batch workloads across all six storage backends, emitting the
 /// machine-readable `BENCH_query.json` perf baseline (throughput plus
 /// p50/p99 latency per backend × workload) that CI and later perf PRs
 /// are judged against. `--quick` shrinks the workloads for smoke runs.
@@ -2935,24 +2832,21 @@ pub fn cmd_bench_query(args: &Args) -> Result<String, String> {
         trace,
     };
 
-    // Persist every format generation the seven backends serve, under a
+    // Persist every format generation the six backends serve, under a
     // temp dir that is removed on *every* exit path (a failing backend
     // must not leak index-sized files per invocation).
     let dir = std::env::temp_dir().join(format!("sling_bench_query_{}", std::process::id()));
     std::fs::create_dir_all(&dir).map_err(|e| e.to_string())?;
     let run_all = || -> Result<(Vec<BenchRecord>, Vec<TraceRow>), String> {
-        let v1 = dir.join("bench.slng");
-        let v2 = dir.join("bench.slng3");
-        let v2q = dir.join("bench.q.slng3");
-        index.save(&v1).map_err(|e| e.to_string())?;
+        index.save(dir.join(BENCH_V1)).map_err(|e| e.to_string())?;
         // Compressed backends serve the current best compressed format
         // (SLNGIDX3); v2 files go through the identical blocked readers.
         index
-            .save_v3(&v2, &sling_core::CompressOptions::default())
+            .save_v3(dir.join(BENCH_V3), &sling_core::CompressOptions::default())
             .map_err(|e| e.to_string())?;
         index
             .save_v3(
-                &v2q,
+                dir.join(BENCH_V3_QUANTIZED),
                 &sling_core::CompressOptions {
                     quantize_values: true,
                     ..Default::default()
@@ -2962,93 +2856,22 @@ pub fn cmd_bench_query(args: &Args) -> Result<String, String> {
         let mut results: Vec<BenchRecord> = Vec::new();
         let mut traces: Vec<TraceRow> = Vec::new();
         let mut spot: Vec<f64> = Vec::new();
-        {
-            let engine = index.query_engine();
-            bench_one_backend(
-                "mem",
-                &engine,
-                &g,
-                &workloads,
-                &mut spot,
-                &mut results,
-                &mut traces,
-            )?;
-        }
-        {
-            let engine = QueryEngine::open_mmap(&g, &v1).map_err(|e| e.to_string())?;
-            bench_one_backend(
-                "mmap",
-                &engine,
-                &g,
-                &workloads,
-                &mut spot,
-                &mut results,
-                &mut traces,
-            )?;
-        }
-        {
-            let engine = QueryEngine::open_mmap_compressed(&g, &v2).map_err(|e| e.to_string())?;
-            bench_one_backend(
-                "mmap-compressed",
-                &engine,
-                &g,
-                &workloads,
-                &mut spot,
-                &mut results,
-                &mut traces,
-            )?;
-        }
-        {
+        for (name, backend, file) in BENCH_BACKENDS {
+            let engine = open_engine(backend, &g, &dir.join(file)).map_err(|e| e.to_string())?;
             // Quantized values differ from the lossless spot answers by
             // design; check internal consistency only.
-            let engine = QueryEngine::open_mmap_compressed(&g, &v2q).map_err(|e| e.to_string())?;
             let mut q_spot = Vec::new();
+            let spot = if file == BENCH_V3_QUANTIZED {
+                &mut q_spot
+            } else {
+                &mut spot
+            };
             bench_one_backend(
-                "mmap-compressed-quantized",
+                name,
                 &engine,
                 &g,
                 &workloads,
-                &mut q_spot,
-                &mut results,
-                &mut traces,
-            )?;
-        }
-        {
-            let store = DiskHpStore::open(&g, &v1).map_err(|e| e.to_string())?;
-            let engine = store.query_engine();
-            bench_one_backend(
-                "disk",
-                &engine,
-                &g,
-                &workloads,
-                &mut spot,
-                &mut results,
-                &mut traces,
-            )?;
-        }
-        {
-            let store = DiskHpStore::open(&g, &v2).map_err(|e| e.to_string())?;
-            let engine = store.query_engine();
-            bench_one_backend(
-                "disk-compressed",
-                &engine,
-                &g,
-                &workloads,
-                &mut spot,
-                &mut results,
-                &mut traces,
-            )?;
-        }
-        {
-            let store = DiskHpStore::open(&g, &v1).map_err(|e| e.to_string())?;
-            let buffered = BufferedDiskStore::new(&store, 1 << 20);
-            let engine = buffered.query_engine();
-            bench_one_backend(
-                "disk-buffered",
-                &engine,
-                &g,
-                &workloads,
-                &mut spot,
+                spot,
                 &mut results,
                 &mut traces,
             )?;
@@ -3067,21 +2890,13 @@ pub fn cmd_bench_query(args: &Args) -> Result<String, String> {
             .map(|r| r.qps())
             .unwrap_or(0.0)
     };
-    let speedups: Vec<(&str, f64)> = [
-        "mem",
-        "mmap",
-        "mmap-compressed",
-        "mmap-compressed-quantized",
-        "disk",
-        "disk-compressed",
-        "disk-buffered",
-    ]
-    .iter()
-    .map(|&b| {
-        let mat = qps_of(b, "single_pair_materialized");
-        (b, qps_of(b, "single_pair_hub") / mat.max(1e-12))
-    })
-    .collect();
+    let speedups: Vec<(&str, f64)> = BENCH_BACKENDS
+        .iter()
+        .map(|&(b, ..)| {
+            let mat = qps_of(b, "single_pair_materialized");
+            (b, qps_of(b, "single_pair_hub") / mat.max(1e-12))
+        })
+        .collect();
 
     // Machine-readable report: one result object per line.
     let mut json = String::new();
@@ -3298,39 +3113,51 @@ mod tests {
             idx.display()
         ))
         .unwrap();
-        let score_of = |out: &str| out.split("   [").next().unwrap().to_string();
-        let mem = run_str(&format!(
-            "query {} {} pair 3 77",
-            g.display(),
-            idx.display()
+        let idx3 = dir.join("idx.slng3");
+        run_str(&format!(
+            "compact {} --out {}",
+            idx.display(),
+            idx3.display()
         ))
         .unwrap();
-        for backend in ["mmap", "disk"] {
-            let got = run_str(&format!(
-                "query {} {} pair 3 77 --index-backend {backend}",
-                g.display(),
-                idx.display()
-            ))
-            .unwrap();
-            assert_eq!(score_of(&mem), score_of(&got), "{backend} diverged");
-            assert!(got.contains("backend"), "{got}");
-        }
-        // Source mode and join run on every backend too.
-        for backend in ["mem", "mmap", "disk"] {
-            let src = run_str(&format!(
-                "query {} {} source 0 --top 3 --index-backend {backend}",
-                g.display(),
-                idx.display()
-            ))
-            .unwrap();
-            assert!(src.contains("top 3 similar to node 0"), "{src}");
-            let join = run_str(&format!(
-                "join {} {} --tau 0.2 --limit 2 --index-backend {backend}",
-                g.display(),
-                idx.display()
-            ))
-            .unwrap();
-            assert!(join.contains("pairs with s >= 0.2"), "{join}");
+        let pairs = dir.join("pairs.txt");
+        std::fs::write(&pairs, "3 77\n0 1\n149 12\n5 5\n").unwrap();
+        // Every printed answer of every command that opens an index,
+        // with the per-run timings cut off.
+        let untimed = |out: &str| -> String {
+            out.lines()
+                .map(|line| line.split("   [").next().unwrap())
+                .collect::<Vec<_>>()
+                .join("\n")
+        };
+        let answers = |backend: &str| -> Vec<String> {
+            let file = if backend == "mmap-compressed" {
+                &idx3
+            } else {
+                &idx
+            };
+            let run = |cmd: &str, rest: &str| {
+                run_str(&format!(
+                    "{cmd} {} {} {rest} --index-backend {backend}",
+                    g.display(),
+                    file.display()
+                ))
+                .unwrap()
+            };
+            let pair = run("query", "pair 3 77");
+            assert!(pair.contains(" backend]"), "{pair}");
+            let batch = run("batch", &format!("--pairs {} --threads 1", pairs.display()));
+            vec![
+                untimed(&pair),
+                untimed(&run("query", "source 0 --top 3")),
+                run("join", "--tau 0.2 --limit 5"),
+                batch.split("mean score ").nth(1).unwrap().to_string(),
+            ]
+        };
+        let want = answers("mem");
+        assert!(want[2].contains("pairs with s >= 0.2"), "{want:?}");
+        for backend in ["mmap", "mmap-compressed", "disk"] {
+            assert_eq!(answers(backend), want, "{backend} diverged");
         }
         // Unknown backend is rejected.
         assert!(run_str(&format!(
@@ -3781,10 +3608,10 @@ mod tests {
         ))
         .unwrap();
         // --trace appends the per-workload stage-time table (4 traced
-        // workloads x 7 backends).
+        // workloads x 6 backends).
         assert!(out.contains("kernel stage-time breakdown"), "{out}");
-        assert_eq!(out.matches("single_source").count(), 7 + 7, "{out}");
-        // All seven backends report, and the streaming-vs-materializing
+        assert_eq!(out.matches("single_source").count(), 6 + 6, "{out}");
+        // All six backends report, and the streaming-vs-materializing
         // comparison is part of the summary.
         for backend in [
             "mem",
@@ -3793,7 +3620,6 @@ mod tests {
             "mmap-compressed-quantized",
             "disk",
             "disk-compressed",
-            "disk-buffered",
         ] {
             assert!(out.contains(backend), "{backend} missing: {out}");
         }
@@ -3806,9 +3632,9 @@ mod tests {
         );
         assert!(json.contains("\"streaming_speedup_hub\""), "{json}");
         assert!(json.contains("\"p99_us\""), "{json}");
-        // Every backend × workload cell is present: 7 backends × 6
+        // Every backend × workload cell is present: 6 backends × 6
         // workloads.
-        assert_eq!(json.matches("\"qps\":").count(), 42, "{json}");
+        assert_eq!(json.matches("\"qps\":").count(), 36, "{json}");
     }
 
     #[test]

@@ -170,9 +170,8 @@ impl SlingIndex {
     }
 
     /// Internal engine view over the in-memory arena. The convenience
-    /// API carries no restore cache — hold a
-    /// [`crate::QueryEngine`]/[`crate::SharedEngine`] for memoized
-    /// restores.
+    /// API carries no restore cache — hold a [`crate::SharedEngine`] for
+    /// memoized restores.
     pub(crate) fn engine_ref(&self) -> EngineRef<'_, HpArena> {
         EngineRef {
             store: &self.hp,

@@ -72,7 +72,7 @@
 //! | [`hp::HpArena`] | full decode in RAM | `O(n/ε)` decode | v1 + v2 + v3 |
 //! | [`store::MmapHpArena`] | page cache, zero-copy | header + offsets only | v1 |
 //! | [`store::CompressedMmapArena`] | page cache (+ decoded blocks when ≤ 64 blocks) | header + offsets + directory | v2 + v3 |
-//! | [`out_of_core::DiskHpStore`] (+ [`disk_query::BufferedDiskStore`] LRU pool) | `O(n)` metadata | header + offsets only | v1 + v2 + v3 |
+//! | [`out_of_core::DiskHpStore`] | `O(n)` offsets (+ decoded blocks when ≤ 64 blocks) | header + offsets only | v1 + v2 + v3 |
 //!
 //! Persistence is versioned ([`format`]): `SLNGIDX1` stores the entry
 //! payload as raw fixed-width sections (14 bytes/entry, decode-free);
@@ -126,24 +126,23 @@
 //! pass to a galloping merge over the longer run — bit-identical by
 //! construction, since both kernels visit matches in the same order.
 //! The pre-streaming copy-then-linear-merge kernels survive as the
-//! `*_materialized_with` reference paths on [`store::QueryEngine`],
+//! `*_materialized_with` reference paths on [`store::SharedEngine`],
 //! pinned by the equivalence proptests (bit-equality on every backend ×
 //! query type) and measured against by `sling bench-query`, which emits
 //! the `BENCH_query.json` perf baseline (3–4× on hub-pair workloads at
 //! the time of writing).
 //!
-//! Two front-ends sit on top of a backend:
-//!
-//! * [`store::QueryEngine`] — the borrowed, lifetime-bound *view*,
-//!   bundling the store with the query-side metadata (correction
-//!   factors, reduction bitmap, marks). [`SlingIndex`]'s convenience
-//!   methods are thin wrappers over the same generic core.
-//! * [`store::SharedEngine`] — the owned, `Send + Sync`,
-//!   `Arc`-shareable engine for long-lived processes: open an index once
-//!   (in-memory, mmap, or disk), share it across threads for the process
-//!   lifetime, and take [`store::SharedEngine::view`] when the full view
-//!   surface is needed. Workers keep per-thread workspaces, so the hot
-//!   path shares only immutable state.
+//! One query engine sits on top of a backend: [`store::SharedEngine`],
+//! which owns the store together with the query-side metadata
+//! (correction factors, reduction bitmap, marks) and a restore cache.
+//! It is `Send + Sync` and `Arc`-shareable: open an index once
+//! (in-memory, mmap, mmap-compressed, or disk), share it across threads
+//! for the process lifetime, or erase the backend type with
+//! [`store::SharedEngine::into_dyn`] when it is chosen at run time.
+//! Workers keep per-thread workspaces, so the hot path shares only
+//! immutable state. [`SlingIndex`]'s convenience methods run the same
+//! generic core without a restore cache — the cache-less reference
+//! path.
 //!
 //! For concurrent serving, [`cache::ShardedResultCache`] adds a global
 //! single-pair result cache — power-of-two lock-per-shard over the same
@@ -233,7 +232,6 @@ pub mod cache;
 pub mod codec;
 pub mod config;
 pub mod correction;
-pub mod disk_query;
 pub mod dynamic;
 pub mod enhance;
 pub mod error;
@@ -272,7 +270,7 @@ pub use index::{QueryWorkspace, SlingIndex};
 pub use lifecycle::{GenId, GenerationStore, Manifest};
 pub use obs::{MetricsRegistry, QueryTrace, SlowQueryLog, SlowQueryRecord, StageNanos};
 pub use store::{
-    CompressedMmapArena, EntryAccess, HpStore, MmapHpArena, QueryEngine, RestoreCache, SharedEngine,
+    CompressedMmapArena, EntryAccess, HpStore, MmapHpArena, RestoreCache, SharedEngine,
 };
 pub use topk::select_top_k;
 pub use walk::WalkEngine;

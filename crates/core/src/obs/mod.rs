@@ -65,12 +65,6 @@ pub struct KernelCounters {
     pub merge_linear: AtomicU64,
     /// Frontier bitset words swept by Algorithm-6 propagation.
     pub frontier_words: AtomicU64,
-    /// `BufferedDiskStore` pool hits.
-    pub buffered_disk_hits: AtomicU64,
-    /// `BufferedDiskStore` pool misses (positioned read + admit).
-    pub buffered_disk_misses: AtomicU64,
-    /// `BufferedDiskStore` entries evicted to respect the budget.
-    pub buffered_disk_evictions: AtomicU64,
 }
 
 impl KernelCounters {
@@ -84,9 +78,6 @@ impl KernelCounters {
             merge_gallop: AtomicU64::new(0),
             merge_linear: AtomicU64::new(0),
             frontier_words: AtomicU64::new(0),
-            buffered_disk_hits: AtomicU64::new(0),
-            buffered_disk_misses: AtomicU64::new(0),
-            buffered_disk_evictions: AtomicU64::new(0),
         }
     }
 
@@ -222,12 +213,6 @@ pub fn register_process_metrics(reg: &MetricsRegistry) {
             "intersect-merges dispatched to the linear kernel",
         "sling_kernel_frontier_words_total" => frontier_words:
             "frontier bitset words swept by Algorithm-6 propagation",
-        "sling_buffered_disk_hits_total" => buffered_disk_hits:
-            "BufferedDiskStore pool hits",
-        "sling_buffered_disk_misses_total" => buffered_disk_misses:
-            "BufferedDiskStore pool misses",
-        "sling_buffered_disk_evictions_total" => buffered_disk_evictions:
-            "BufferedDiskStore pool evictions",
     });
     register_static_counters!(reg, LIFECYCLE, {
         "sling_lifecycle_publishes_total" => publishes:
@@ -287,7 +272,6 @@ mod tests {
             .is_some());
         let text = reg.render_prometheus();
         assert!(text.contains("sling_kernel_frontier_words_total"));
-        assert!(text.contains("sling_buffered_disk_hits_total"));
         assert!(text.contains("sling_kernel_run_decodes_total"));
     }
 

@@ -9,7 +9,9 @@
 //! description (Figure 10 sweeps the buffer size).
 //!
 //! Querying: [`DiskHpStore`] keeps the HP entries in a file and only the
-//! `O(n)` offsets, correction factors, and reduction bitmap in memory.
+//! `O(n)` offsets in memory; the engine that opens it
+//! ([`crate::SharedEngine::open_disk`]) holds the correction factors and
+//! reduction bitmap.
 //! A single-pair query reads the two `O(1/ε)`-sized entry runs with
 //! positioned reads — the constant-IO regime described in §5.4.
 
@@ -21,18 +23,17 @@ use std::path::{Path, PathBuf};
 use bytes::Buf;
 use sling_graph::{DiGraph, NodeId};
 
-use crate::codec::CompressOptions;
 use crate::config::SlingConfig;
 use crate::correction::estimate_dk;
 use crate::enhance::MarkArena;
 use crate::error::SlingError;
 use crate::external_sort::ExternalSorter;
-use crate::format::PayloadGeometry;
+use crate::format::{DecodedMeta, PayloadGeometry};
 use crate::hp::{HpArena, HpEntry};
 use crate::index::{BuildStats, SlingIndex};
 use crate::local_update::reverse_hp_all;
 use crate::obs::{self, KernelCounters};
-use crate::store::{BlockBytes, BlockedPayload, HpStore, QueryEngine};
+use crate::store::{BlockBytes, BlockedPayload, HpStore};
 use crate::walk::{task_rng, WalkEngine};
 
 /// Options for the out-of-core builder.
@@ -159,35 +160,27 @@ pub fn build_out_of_core(
 }
 
 /// Disk-resident HP store over a persisted index file — either the raw
-/// `SLNGIDX1` layout or the block-compressed `SLNGIDX2` one: the entry
-/// payload stays on disk; only the `O(n)` offsets, correction factors,
-/// reduction bitmap, and §5.3 marks are memory-resident.
+/// `SLNGIDX1` layout or the block-compressed `SLNGIDX2`/`SLNGIDX3` one:
+/// the entry payload stays on disk; only the `O(n)` offset table (plus,
+/// for a blocked file, the block directory) is memory-resident. Open it
+/// with [`crate::SharedEngine::open_disk`], which keeps the query-side
+/// metadata beside it.
 ///
-/// Implements [`HpStore`], so the whole generic query surface
-/// (Algorithms 3 and 6, top-k, joins, batches) runs against it through
-/// [`DiskHpStore::query_engine`] — for a v1 file each entry-list read
-/// costs three positioned reads (one per payload section); for a v2/v3
-/// file it costs one positioned read per covering block, the same
-/// constant-IO regime described in §5.4. Blocks are read through the
-/// block reader it shares with the compressed mmap arena, so it keeps the
-/// same validation contract as [`crate::store::CompressedMmapArena`]:
-/// each decoded block's framing (counts, run directory, section
-/// boundaries, exact length) and every returned entry (node `< n`,
-/// dictionary and hi-plane indices, value a probability) are checked;
-/// a small payload is decoded block by block once and kept, a larger
-/// one is range-decoded run by run.
-/// Front it with [`crate::disk_query::BufferedDiskStore`] to amortize
-/// repeated reads of whole entry lists.
+/// For a v1 file each entry-list read costs three positioned reads (one
+/// per payload section); for a v2/v3 file it costs one positioned read
+/// per covering block, the constant-IO regime described in §5.4. Blocks
+/// are read through the block reader it shares with the compressed mmap
+/// arena, so it keeps the same validation contract as
+/// [`crate::store::CompressedMmapArena`]: each decoded block's framing
+/// (counts, run directory, section boundaries, exact length) and every
+/// returned entry (node `< n`, dictionary and hi-plane indices, value a
+/// probability) are checked; a small payload is decoded block by block
+/// once and kept, a larger one is range-decoded run by run. Repeated
+/// reads are left to the operating system's page cache.
 pub struct DiskHpStore {
     file: File,
     offsets: Vec<u64>,
-    pub(crate) d: Vec<f64>,
-    pub(crate) reduced: Vec<bool>,
-    pub(crate) config: SlingConfig,
-    pub(crate) marks: MarkArena,
-    stats: BuildStats,
     num_nodes: usize,
-    num_edges: usize,
     entries: usize,
     payload: DiskPayload,
 }
@@ -234,69 +227,24 @@ impl BlockBytes for DiskBlocks<'_> {
 }
 
 impl DiskHpStore {
-    /// Persist `index` to `path` (standard `SLNGIDX1` format) and return
-    /// a store reading from it.
-    pub fn create(index: &SlingIndex, path: impl AsRef<Path>) -> Result<Self, SlingError> {
-        let path = path.as_ref();
-        index.save(path)?;
-        Self::open_file(path)
-    }
-
-    /// Persist `index` to `path` in the block-compressed `SLNGIDX2`
-    /// format and return a store reading v2 blocks from it. With default
-    /// (lossless) options queries answer bit-identically to
-    /// [`DiskHpStore::create`].
-    pub fn create_compressed(
-        index: &SlingIndex,
+    /// Open `path` and validate its structure, decoding the `O(n)`
+    /// metadata only — never the entry payload. Returns the store plus
+    /// the decoded query-side metadata.
+    pub(crate) fn open_with_meta(
         path: impl AsRef<Path>,
-        opts: &CompressOptions,
-    ) -> Result<Self, SlingError> {
-        let path = path.as_ref();
-        index.save_v2(path, opts)?;
-        Self::open_file(path)
-    }
-
-    /// Persist `index` to `path` in the `SLNGIDX3` format (cross-block
-    /// value dictionary, varint block directory) and return a store
-    /// reading v3 blocks from it. With default (lossless) options
-    /// queries answer bit-identically to [`DiskHpStore::create`].
-    pub fn create_compressed_v3(
-        index: &SlingIndex,
-        path: impl AsRef<Path>,
-        opts: &CompressOptions,
-    ) -> Result<Self, SlingError> {
-        let path = path.as_ref();
-        index.save_v3(path, opts)?;
-        Self::open_file(path)
-    }
-
-    /// Open a persisted index file as a disk store, verifying its
-    /// `(n, m)` fingerprint against `graph`. Decodes the `O(n)` metadata
-    /// only — never the entry payload.
-    pub fn open(graph: &DiGraph, path: impl AsRef<Path>) -> Result<Self, SlingError> {
-        let store = Self::open_file(path)?;
-        if store.num_nodes != graph.num_nodes() || store.num_edges != graph.num_edges() {
-            return Err(SlingError::GraphMismatch {
-                expected_nodes: store.num_nodes,
-                found_nodes: graph.num_nodes(),
-            });
-        }
-        Ok(store)
-    }
-
-    fn open_file(path: impl AsRef<Path>) -> Result<Self, SlingError> {
+    ) -> Result<(Self, DecodedMeta), SlingError> {
         let file = File::open(path.as_ref())?;
         // Parse the metadata prefix through a short-lived mapping; the
         // store itself keeps only the plain file handle for positioned
         // reads.
-        let meta = {
+        let mut meta = {
             // SAFETY: mapping dropped before this function returns; reads
             // during decode are bound-checked against the mapped length.
             let map = unsafe { memmap2::Mmap::map(&file) }?;
             crate::format::decode_meta(&map)?
         };
-        let payload = match meta.payload {
-            PayloadGeometry::Raw {
+        let payload = match &mut meta.payload {
+            &mut PayloadGeometry::Raw {
                 steps_base,
                 nodes_base,
                 values_base,
@@ -311,77 +259,19 @@ impl DiskHpStore {
                     meta.num_nodes,
                     meta.entries,
                     geo.block_entries,
-                    geo.block_offsets,
-                    geo.global_dict,
+                    std::mem::take(&mut geo.block_offsets),
+                    std::mem::take(&mut geo.global_dict),
                 ),
             },
         };
-        Ok(DiskHpStore {
+        let store = DiskHpStore {
             file,
-            offsets: meta.hp_offsets,
-            d: meta.d,
-            reduced: meta.reduced,
-            config: meta.config,
-            marks: meta.marks,
-            stats: meta.stats,
+            offsets: std::mem::take(&mut meta.hp_offsets),
             num_nodes: meta.num_nodes,
-            num_edges: meta.num_edges,
             entries: meta.entries,
             payload,
-        })
-    }
-
-    /// Number of nodes covered.
-    pub fn num_nodes(&self) -> usize {
-        self.num_nodes
-    }
-
-    /// Build statistics recorded in the index file.
-    pub fn stats(&self) -> BuildStats {
-        self.stats
-    }
-
-    /// Memory-resident bytes (excludes the entry file) — the quantity the
-    /// out-of-core mode is designed to bound.
-    pub fn resident_bytes(&self) -> usize {
-        let payload = match &self.payload {
-            DiskPayload::Raw { .. } => 0,
-            DiskPayload::Blocked { blocks, .. } => blocks.resident_bytes(),
         };
-        self.offsets.len() * 8
-            + self.d.len() * 8
-            + self.reduced.len()
-            + self.marks.resident_bytes()
-            + payload
-    }
-
-    /// Query engine over this store (single-pair, single-source, top-k,
-    /// joins, batches), sharing the store's metadata by reference.
-    pub fn query_engine(&self) -> QueryEngine<'_, &DiskHpStore> {
-        QueryEngine::from_parts(
-            self,
-            std::borrow::Cow::Borrowed(&self.config),
-            std::borrow::Cow::Borrowed(&self.d),
-            std::borrow::Cow::Borrowed(&self.reduced),
-            std::borrow::Cow::Borrowed(&self.marks),
-            self.stats,
-        )
-    }
-
-    /// Consume the store into an owned, `Arc`-shareable engine (see
-    /// [`crate::store::SharedEngine`]); positioned reads (`pread`) keep
-    /// `&self` queries thread-safe. The query-side metadata is cloned out
-    /// of the store — `O(n)`, the same residency class as the store
-    /// itself.
-    pub fn into_shared_engine(self) -> crate::store::SharedEngine<DiskHpStore> {
-        let (config, d, reduced, marks, stats) = (
-            self.config.clone(),
-            self.d.clone(),
-            self.reduced.clone(),
-            self.marks.clone(),
-            self.stats,
-        );
-        crate::store::SharedEngine::from_owned_parts(self, config, d, reduced, marks, stats)
+        Ok((store, meta))
     }
 
     /// Positioned-read byte source of a blocked payload.
@@ -502,12 +392,6 @@ impl DiskHpStore {
         Ok(())
     }
 
-    /// Single-pair query against the disk-resident entries (Algorithm 3
-    /// through the generic engine).
-    pub fn single_pair(&self, graph: &DiGraph, u: NodeId, v: NodeId) -> Result<f64, SlingError> {
-        self.query_engine().single_pair(graph, u, v)
-    }
-
     /// `posix_fadvise(WILLNEED)` the byte ranges holding `H(v)` — the
     /// three section ranges of a v1 payload, or the encoded bytes of the
     /// covering v2 blocks — so a cold query's positioned reads hit
@@ -599,8 +483,14 @@ impl HpStore for DiskHpStore {
 
     // contains_key: trait default (binary search through entry_at).
 
+    /// The handle, the offset table and the block reader's directory
+    /// and resident blocks; the payload itself stays on disk.
     fn resident_bytes(&self) -> usize {
-        DiskHpStore::resident_bytes(self)
+        let payload = match &self.payload {
+            DiskPayload::Raw { .. } => 0,
+            DiskPayload::Blocked { blocks, .. } => blocks.resident_bytes(),
+        };
+        std::mem::size_of::<Self>() + self.offsets.len() * 8 + payload
     }
 
     fn prefetch(&self, v: NodeId) {
@@ -632,6 +522,8 @@ impl HpStore for DiskHpStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::CompressOptions;
+    use crate::SharedEngine;
     use sling_graph::generators::{barabasi_albert, two_cliques_bridge};
 
     fn cfg() -> SlingConfig {
@@ -683,13 +575,14 @@ mod tests {
         let config = cfg();
         let idx = SlingIndex::build(&g, &config).unwrap();
         let dir = tmp("store");
-        let store = DiskHpStore::create(&idx, dir.join("hp.bin")).unwrap();
+        idx.save(dir.join("hp.bin")).unwrap();
+        let engine = SharedEngine::open_disk(&g, dir.join("hp.bin")).unwrap();
         for (u, v) in [(0u32, 1u32), (3, 77), (149, 10), (5, 5)] {
             let a = idx.single_pair(&g, NodeId(u), NodeId(v));
-            let b = store.single_pair(&g, NodeId(u), NodeId(v)).unwrap();
+            let b = engine.single_pair(&g, NodeId(u), NodeId(v)).unwrap();
             assert!((a - b).abs() < 1e-12, "({u},{v}): memory {a} vs disk {b}");
         }
-        assert!(store.resident_bytes() < idx.resident_bytes());
+        assert!(engine.resident_bytes() < idx.resident_bytes());
         std::fs::remove_dir_all(dir).ok();
     }
 
@@ -699,26 +592,31 @@ mod tests {
         let config = cfg();
         let idx = SlingIndex::build(&g, &config).unwrap();
         let dir = tmp("store_v2");
-        let raw = DiskHpStore::create(&idx, dir.join("v1.bin")).unwrap();
+        idx.save(dir.join("v1.bin")).unwrap();
         // Small blocks so entry lists straddle block boundaries.
         let opts = CompressOptions {
             block_entries: 32,
             quantize_values: false,
         };
-        let v2 = DiskHpStore::create_compressed(&idx, dir.join("v2.bin"), &opts).unwrap();
+        idx.save_v2(dir.join("v2.bin"), &opts).unwrap();
         assert!(
             std::fs::metadata(dir.join("v2.bin")).unwrap().len()
                 < std::fs::metadata(dir.join("v1.bin")).unwrap().len()
         );
+        let raw = SharedEngine::open_disk(&g, dir.join("v1.bin")).unwrap();
+        let v2 = SharedEngine::open_disk(&g, dir.join("v2.bin")).unwrap();
         let mut a = Vec::new();
         let mut b = Vec::new();
         for v in g.nodes() {
-            raw.read_entries(v, &mut a).unwrap();
-            v2.read_entries(v, &mut b).unwrap();
+            raw.store().read_entries(v, &mut a).unwrap();
+            v2.store().read_entries(v, &mut b).unwrap();
             assert_eq!(a, b, "H({v:?}) differs between raw and blocked disk");
         }
-        for i in (0..raw.total_entries()).step_by(11) {
-            assert_eq!(raw.entry_at(i).unwrap(), v2.entry_at(i).unwrap());
+        for i in (0..raw.store().total_entries()).step_by(11) {
+            assert_eq!(
+                raw.store().entry_at(i).unwrap(),
+                v2.store().entry_at(i).unwrap()
+            );
         }
         for (u, w) in [(0u32, 1u32), (3, 77), (149, 10), (5, 5)] {
             assert_eq!(
@@ -731,24 +629,25 @@ mod tests {
     }
 
     #[test]
-    fn compressed_disk_store_surfaces_truncation() {
+    fn disk_store_surfaces_truncation() {
         let g = barabasi_albert(120, 3, 2).unwrap();
         let idx = SlingIndex::build(&g, &cfg()).unwrap();
-        let dir = tmp("trunc_v2");
-        let path = dir.join("v2.bin");
-        let store =
-            DiskHpStore::create_compressed(&idx, &path, &CompressOptions::default()).unwrap();
-        // Chop the payload behind the store's back.
-        let len = std::fs::metadata(&path).unwrap().len();
-        let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
-        file.set_len(len - len / 8).unwrap();
-        let mut failed = false;
-        for v in g.nodes() {
-            if store.single_pair(&g, v, NodeId(0)).is_err() {
-                failed = true;
-            }
+        let dir = tmp("trunc");
+        let v1 = dir.join("v1.bin");
+        idx.save(&v1).unwrap();
+        let v2 = dir.join("v2.bin");
+        idx.save_v2(&v2, &CompressOptions::default()).unwrap();
+        for path in [v1, v2] {
+            let engine = SharedEngine::open_disk(&g, &path).unwrap();
+            // Chop the payload behind the store's back.
+            let len = std::fs::metadata(&path).unwrap().len();
+            let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+            file.set_len(len - len / 8).unwrap();
+            let failed = g
+                .nodes()
+                .any(|v| engine.single_pair(&g, v, NodeId(0)).is_err());
+            assert!(failed, "no query noticed the truncated {path:?}");
         }
-        assert!(failed, "no query noticed the truncated v2 payload");
         std::fs::remove_dir_all(dir).ok();
     }
 
@@ -757,8 +656,9 @@ mod tests {
         let g = two_cliques_bridge(3);
         let idx = SlingIndex::build(&g, &cfg()).unwrap();
         let dir = tmp("range");
-        let store = DiskHpStore::create(&idx, dir.join("hp.bin")).unwrap();
-        assert!(store.single_pair(&g, NodeId(0), NodeId(100)).is_err());
+        idx.save(dir.join("hp.bin")).unwrap();
+        let engine = SharedEngine::open_disk(&g, dir.join("hp.bin")).unwrap();
+        assert!(engine.single_pair(&g, NodeId(0), NodeId(100)).is_err());
         std::fs::remove_dir_all(dir).ok();
     }
 }

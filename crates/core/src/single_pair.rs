@@ -232,7 +232,7 @@ pub(crate) fn single_pair_core<S: HpStore>(
 /// Algorithm 3 through the **materializing reference path**: both
 /// effective lists copied into the workspace, linear merge — exactly the
 /// pre-streaming kernel. Kept callable (see
-/// [`crate::QueryEngine::single_pair_materialized_with`]) so benchmarks
+/// [`crate::SharedEngine::single_pair_materialized_with`]) so benchmarks
 /// can measure the zero-copy gap and tests can assert bit-equality.
 pub(crate) fn single_pair_materialized_core<S: HpStore>(
     e: EngineRef<'_, S>,
@@ -467,7 +467,7 @@ mod tests {
             .with_seed(5)
             .with_enhancement(true);
         let idx = SlingIndex::build(&g, &config).unwrap();
-        let engine = idx.query_engine();
+        let engine = crate::SharedEngine::from(idx.clone());
         let mut ws = QueryWorkspace::new();
         let mut ws2 = QueryWorkspace::new();
         for v in [1u32, 17, 250, 399] {
@@ -507,7 +507,7 @@ mod tests {
                     "matrix row (sr={sr}, enh={enh}) exercises no reduced nodes"
                 );
             }
-            let engine = idx.query_engine();
+            let engine = crate::SharedEngine::from(idx.clone());
             let mut ws = QueryWorkspace::new();
             let mut ws2 = QueryWorkspace::new();
             for _pass in 0..2 {

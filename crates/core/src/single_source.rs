@@ -669,7 +669,7 @@ mod tests {
                 .with_enhancement(enh);
             let idx = SlingIndex::build(&g, &config).unwrap();
             assert!(idx.stats.reduced_nodes > 0);
-            let engine = idx.query_engine();
+            let engine = crate::SharedEngine::from(idx.clone());
             let mut ws = SingleSourceWorkspace::new();
             let mut ws2 = SingleSourceWorkspace::new();
             let (mut streamed, mut materialized) = (Vec::new(), Vec::new());

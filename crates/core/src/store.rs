@@ -1,5 +1,5 @@
-//! The storage-backend layer: [`HpStore`] and the [`QueryEngine`]
-//! front-end.
+//! The storage-backend layer: [`HpStore`] and the [`SharedEngine`]
+//! query engine.
 //!
 //! §5.4 of the paper observes that SLING "can efficiently process queries
 //! even when its index structure does not fit in the main memory": every
@@ -8,7 +8,7 @@
 //! DBMS-style layering. The query algorithms (Algorithms 3, 5, 6 and the
 //! §5.2/§5.3 effective-entry materialization) are written once, generic
 //! over an [`HpStore`] — the read interface to the packed per-node HP
-//! sets — and three backends implement it:
+//! sets — and four backends implement it:
 //!
 //! * [`crate::hp::HpArena`] — the in-memory parallel-array arena;
 //! * [`MmapHpArena`] — a **zero-copy memory-mapped view** of a persisted
@@ -16,17 +16,17 @@
 //!   table but never decodes the entry payload, so open cost is
 //!   independent of index size and queries read entries straight out of
 //!   the page cache;
-//! * [`crate::out_of_core::DiskHpStore`] (optionally fronted by the
-//!   [`crate::disk_query::BufferedDiskStore`] LRU buffer pool) — explicit
-//!   positioned reads with only `O(n)` metadata resident.
+//! * [`CompressedMmapArena`] — the same over a block-compressed
+//!   `SLNGIDX2`/`SLNGIDX3` file;
+//! * [`crate::out_of_core::DiskHpStore`] — explicit positioned reads
+//!   (any format) with only `O(n)` offsets resident.
 //!
-//! [`QueryEngine`] bundles a store with the query-side metadata (config,
+//! [`SharedEngine`] bundles a store with the query-side metadata (config,
 //! correction factors, §5.2 reduction bitmap, §5.3 marks) and exposes the
 //! full query API — single-pair, single-source, top-k, joins, batches —
 //! with identical scores across backends: same entries, same merge order,
 //! same floating-point arithmetic.
 
-use std::borrow::Cow;
 use std::ops::Range;
 use std::path::Path;
 
@@ -45,11 +45,12 @@ use crate::codec::{decode_block, decode_block_range, decode_block_with_dict, exp
 use crate::config::SlingConfig;
 use crate::enhance::MarkArena;
 use crate::error::SlingError;
-use crate::format::{decode_meta, PayloadGeometry};
+use crate::format::{decode_meta, DecodedMeta, PayloadGeometry};
 use crate::hp::{HpArena, HpEntry};
 use crate::index::{BuildStats, QueryWorkspace, SlingIndex};
 use crate::join::{threshold_join_core, JoinPair, JoinStrategy};
 use crate::obs::{self, KernelCounters};
+use crate::out_of_core::DiskHpStore;
 use crate::single_pair::single_pair_core;
 use crate::single_source::{single_source_core, SingleSourceWorkspace};
 use crate::topk::{select_top_k, single_source_truncated_core};
@@ -597,9 +598,51 @@ impl<S: HpStore + ?Sized> HpStore for &S {
     }
 }
 
+impl<S: HpStore + ?Sized> HpStore for Box<S> {
+    fn num_nodes(&self) -> usize {
+        (**self).num_nodes()
+    }
+
+    fn total_entries(&self) -> usize {
+        (**self).total_entries()
+    }
+
+    fn range(&self, v: NodeId) -> Range<usize> {
+        (**self).range(v)
+    }
+
+    fn entries_into(&self, v: NodeId, out: &mut Vec<HpEntry>) -> Result<(), SlingError> {
+        (**self).entries_into(v, out)
+    }
+
+    fn entry_at(&self, i: usize) -> Result<HpEntry, SlingError> {
+        (**self).entry_at(i)
+    }
+
+    fn contains_key(&self, v: NodeId, step: u16, node: NodeId) -> Result<bool, SlingError> {
+        (**self).contains_key(v, step, node)
+    }
+
+    fn resident_bytes(&self) -> usize {
+        (**self).resident_bytes()
+    }
+
+    fn prefetch(&self, v: NodeId) {
+        (**self).prefetch(v)
+    }
+
+    fn entries_ref<'s>(
+        &'s self,
+        v: NodeId,
+        scratch: &'s mut Vec<HpEntry>,
+    ) -> Result<EntryAccess<'s>, SlingError> {
+        (**self).entries_ref(v, scratch)
+    }
+}
+
 /// Borrowed view of everything a query needs: the store plus the
 /// query-side metadata. `Copy`, so the generic algorithm cores pass it by
-/// value. Internal glue between [`SlingIndex`], [`QueryEngine`], and the
+/// value. Internal glue between [`SlingIndex`], [`SharedEngine`], and the
 /// per-module algorithm implementations.
 pub(crate) struct EngineRef<'a, S: HpStore> {
     pub store: &'a S,
@@ -743,7 +786,7 @@ impl MmapHpArena {
     }
 
     /// Map and validate `path` without retaining the metadata. Prefer
-    /// [`QueryEngine::open_mmap`], which keeps the correction factors and
+    /// [`SharedEngine::open_mmap`], which keeps the correction factors and
     /// reduction bitmap needed to answer queries.
     pub fn open(path: impl AsRef<Path>) -> Result<MmapHpArena, SlingError> {
         Ok(Self::open_with_meta(path)?.0)
@@ -1140,8 +1183,7 @@ impl RestoreCache {
 
     /// Admit a list restored under generation `epoch`, evicting LRU
     /// lists until it fits the shard's entry budget (an oversized list
-    /// is admitted alone — reuse is node-driven, exactly like the disk
-    /// buffer pool). A stale `epoch` — the engine was invalidated while
+    /// is admitted alone — reuse is node-driven). A stale `epoch` — the engine was invalidated while
     /// the restore ran — drops the insert instead of admitting a list
     /// computed against retired state.
     pub(crate) fn insert_tagged(&self, v: NodeId, list: Arc<Vec<HpEntry>>, epoch: u64) {
@@ -1680,326 +1722,21 @@ impl HpStore for CompressedMmapArena {
     }
 }
 
-/// Query front-end generic over the storage backend.
+/// The query engine: a storage backend plus all query-side metadata
+/// (correction factors, §5.2 reduction bitmap, §5.3 marks) held **by
+/// value**, and a [`RestoreCache`] of restored effective lists.
 ///
-/// Owns (or borrows) the store plus the query-side metadata and exposes
-/// the full SLING query surface with `Result`-returning methods — the
-/// disk-backed stores can fail mid-query, so the engine API is fallible
-/// where [`SlingIndex`]'s in-memory convenience API is not. All backends
-/// return **identical** scores for the same persisted index.
-pub struct QueryEngine<'a, S: HpStore> {
-    store: S,
-    config: Cow<'a, SlingConfig>,
-    d: Cow<'a, [f64]>,
-    reduced: Cow<'a, [bool]>,
-    marks: Cow<'a, MarkArena>,
-    stats: BuildStats,
-    restore: RestoreCache,
-}
-
-impl<'a, S: HpStore> QueryEngine<'a, S> {
-    /// Assemble an engine from parts (used by the backend constructors).
-    pub(crate) fn from_parts(
-        store: S,
-        config: Cow<'a, SlingConfig>,
-        d: Cow<'a, [f64]>,
-        reduced: Cow<'a, [bool]>,
-        marks: Cow<'a, MarkArena>,
-        stats: BuildStats,
-    ) -> Self {
-        QueryEngine {
-            store,
-            config,
-            d,
-            reduced,
-            marks,
-            stats,
-            restore: RestoreCache::new(),
-        }
-    }
-
-    pub(crate) fn engine_ref(&self) -> EngineRef<'_, S> {
-        EngineRef {
-            store: &self.store,
-            config: &self.config,
-            d: &self.d,
-            reduced: &self.reduced,
-            marks: &self.marks,
-            restore_cache: Some(&self.restore),
-        }
-    }
-
-    /// The backing store.
-    pub fn store(&self) -> &S {
-        &self.store
-    }
-
-    /// Type-erased view of this engine, for callers (like the CLI) that
-    /// pick the backend at runtime.
-    pub fn erase(&self) -> QueryEngine<'_, &dyn HpStore> {
-        QueryEngine {
-            store: &self.store as &dyn HpStore,
-            config: Cow::Borrowed(&self.config),
-            d: Cow::Borrowed(&self.d),
-            reduced: Cow::Borrowed(&self.reduced),
-            marks: Cow::Borrowed(&self.marks),
-            stats: self.stats,
-            // The erased view gets its own memo: the cache is not
-            // `Clone`, and an erased engine is typically the long-lived
-            // handle anyway.
-            restore: RestoreCache::new(),
-        }
-    }
-
-    /// The configuration the index was built with.
-    pub fn config(&self) -> &SlingConfig {
-        &self.config
-    }
-
-    /// Build statistics recorded in the index.
-    pub fn stats(&self) -> BuildStats {
-        self.stats
-    }
-
-    /// Number of nodes of the indexed graph.
-    pub fn num_nodes(&self) -> usize {
-        self.reduced.len()
-    }
-
-    /// Heap-resident bytes: store + metadata. For the mmap backend this
-    /// is `O(n)` metadata only — the entry payload stays in the page
-    /// cache.
-    pub fn resident_bytes(&self) -> usize {
-        self.store.resident_bytes()
-            + self.d.len() * 8
-            + self.reduced.len()
-            + self.marks.resident_bytes()
-            + self.restore.resident_bytes()
-    }
-
-    fn check_pair(&self, u: NodeId, v: NodeId) -> Result<(), SlingError> {
-        let e = self.engine_ref();
-        e.check_node(u)?;
-        e.check_node(v)
-    }
-
-    /// Single-pair SimRank estimate `s̃(u, v)` (Algorithm 3).
-    pub fn single_pair(&self, graph: &DiGraph, u: NodeId, v: NodeId) -> Result<f64, SlingError> {
-        let mut ws = QueryWorkspace::new();
-        self.single_pair_with(graph, &mut ws, u, v)
-    }
-
-    /// Single-pair query reusing caller-provided buffers.
-    pub fn single_pair_with(
-        &self,
-        graph: &DiGraph,
-        ws: &mut QueryWorkspace,
-        u: NodeId,
-        v: NodeId,
-    ) -> Result<f64, SlingError> {
-        self.check_pair(u, v)?;
-        single_pair_core(self.engine_ref(), graph, ws, u, v)
-    }
-
-    /// Single-pair query through the **materializing reference path**:
-    /// both effective entry lists copied into the workspace, linear
-    /// merge — the pre-streaming kernel. Bit-identical to
-    /// [`QueryEngine::single_pair_with`] on every backend; kept public so
-    /// benchmarks can measure the zero-copy/galloping gap and the
-    /// equivalence suite can assert it.
-    pub fn single_pair_materialized_with(
-        &self,
-        graph: &DiGraph,
-        ws: &mut QueryWorkspace,
-        u: NodeId,
-        v: NodeId,
-    ) -> Result<f64, SlingError> {
-        self.check_pair(u, v)?;
-        crate::single_pair::single_pair_materialized_core(self.engine_ref(), graph, ws, u, v)
-    }
-
-    /// Single-source query from `u` (Algorithm 6).
-    pub fn single_source(&self, graph: &DiGraph, u: NodeId) -> Result<Vec<f64>, SlingError> {
-        let mut ws = SingleSourceWorkspace::new();
-        let mut out = Vec::new();
-        self.single_source_with(graph, &mut ws, u, &mut out)?;
-        Ok(out)
-    }
-
-    /// Single-source query into caller-provided buffers; allocation-free
-    /// after warm-up on every backend.
-    pub fn single_source_with(
-        &self,
-        graph: &DiGraph,
-        ws: &mut SingleSourceWorkspace,
-        u: NodeId,
-        out: &mut Vec<f64>,
-    ) -> Result<(), SlingError> {
-        self.engine_ref().check_node(u)?;
-        single_source_core(self.engine_ref(), graph, ws, u, out)
-    }
-
-    /// Single-source query through the **materializing reference path**
-    /// (see [`QueryEngine::single_pair_materialized_with`]).
-    pub fn single_source_materialized_with(
-        &self,
-        graph: &DiGraph,
-        ws: &mut SingleSourceWorkspace,
-        u: NodeId,
-        out: &mut Vec<f64>,
-    ) -> Result<(), SlingError> {
-        self.engine_ref().check_node(u)?;
-        crate::single_source::single_source_materialized_core(self.engine_ref(), graph, ws, u, out)
-    }
-
-    /// Algorithm 6 with early termination (see
-    /// [`SlingIndex::single_source_truncated`]). Returns the residual
-    /// bound that was dropped.
-    pub fn single_source_truncated(
-        &self,
-        graph: &DiGraph,
-        ws: &mut SingleSourceWorkspace,
-        u: NodeId,
-        slack: f64,
-        out: &mut Vec<f64>,
-    ) -> Result<f64, SlingError> {
-        self.engine_ref().check_node(u)?;
-        single_source_truncated_core(self.engine_ref(), graph, ws, u, slack, out)
-    }
-
-    /// Top-k most similar nodes to `u` (excluding `u`), heap-selected.
-    pub fn top_k(
-        &self,
-        graph: &DiGraph,
-        u: NodeId,
-        k: usize,
-    ) -> Result<Vec<(NodeId, f64)>, SlingError> {
-        let scores = self.single_source(graph, u)?;
-        Ok(select_top_k(&scores, Some(u), k))
-    }
-
-    /// Early-terminating top-k: every returned score is within `slack` of
-    /// the full Algorithm-6 estimate.
-    pub fn top_k_approx(
-        &self,
-        graph: &DiGraph,
-        u: NodeId,
-        k: usize,
-        slack: f64,
-    ) -> Result<Vec<(NodeId, f64)>, SlingError> {
-        let mut ws = SingleSourceWorkspace::new();
-        let mut scores = Vec::new();
-        self.single_source_truncated(graph, &mut ws, u, slack, &mut scores)?;
-        Ok(select_top_k(&scores, Some(u), k))
-    }
-
-    /// All unordered pairs with `s̃(u, v) ≥ tau` (see
-    /// [`SlingIndex::threshold_join`]).
-    pub fn threshold_join(
-        &self,
-        graph: &DiGraph,
-        tau: f64,
-        strategy: JoinStrategy,
-    ) -> Result<Vec<JoinPair>, SlingError> {
-        threshold_join_core(self.engine_ref(), graph, tau, strategy)
-    }
-
-    /// The `k` highest-scoring unordered pairs above `prune`.
-    pub fn top_k_join(
-        &self,
-        graph: &DiGraph,
-        k: usize,
-        prune: f64,
-        strategy: JoinStrategy,
-    ) -> Result<Vec<JoinPair>, SlingError> {
-        let mut pairs = self.threshold_join(graph, prune.max(f64::MIN_POSITIVE), strategy)?;
-        pairs.truncate(k);
-        Ok(pairs)
-    }
-}
-
-impl<S: HpStore + Sync> QueryEngine<'_, S> {
-    /// Evaluate a batch of single-pair queries on `threads` workers
-    /// (results positionally aligned with `pairs`).
-    pub fn batch_single_pair(
-        &self,
-        graph: &DiGraph,
-        pairs: &[(NodeId, NodeId)],
-        threads: usize,
-    ) -> Result<Vec<f64>, SlingError> {
-        for &(u, v) in pairs {
-            self.check_pair(u, v)?;
-        }
-        crate::batch::batch_single_pair_core(self.engine_ref(), graph, pairs, threads)
-    }
-
-    /// Evaluate single-source queries from every node in `sources` on
-    /// `threads` workers.
-    pub fn batch_single_source(
-        &self,
-        graph: &DiGraph,
-        sources: &[NodeId],
-        threads: usize,
-    ) -> Result<Vec<Vec<f64>>, SlingError> {
-        for &u in sources {
-            self.engine_ref().check_node(u)?;
-        }
-        crate::batch::batch_single_source_core(self.engine_ref(), graph, sources, threads)
-    }
-}
-
-impl QueryEngine<'static, MmapHpArena> {
-    /// Open a persisted index as a zero-copy mmap engine, verifying it
-    /// matches `graph`. Open cost is header + offset-table validation
-    /// plus the `O(n)` query-side metadata (correction factors, reduction
-    /// bitmap, marks) — the entry payload is never decoded.
-    pub fn open_mmap(
-        graph: &DiGraph,
-        path: impl AsRef<Path>,
-    ) -> Result<QueryEngine<'static, MmapHpArena>, SlingError> {
-        let e = SharedEngine::open_mmap(graph, path)?;
-        Ok(QueryEngine::from_parts(
-            e.store,
-            Cow::Owned(e.config),
-            Cow::Owned(e.d),
-            Cow::Owned(e.reduced),
-            Cow::Owned(e.marks),
-            e.stats,
-        ))
-    }
-}
-
-impl QueryEngine<'static, CompressedMmapArena> {
-    /// Open a block-compressed `SLNGIDX2` index as a mmap engine,
-    /// verifying it matches `graph` (see
-    /// [`SharedEngine::open_mmap_compressed`]).
-    pub fn open_mmap_compressed(
-        graph: &DiGraph,
-        path: impl AsRef<Path>,
-    ) -> Result<QueryEngine<'static, CompressedMmapArena>, SlingError> {
-        let e = SharedEngine::open_mmap_compressed(graph, path)?;
-        Ok(QueryEngine::from_parts(
-            e.store,
-            Cow::Owned(e.config),
-            Cow::Owned(e.d),
-            Cow::Owned(e.reduced),
-            Cow::Owned(e.marks),
-            e.stats,
-        ))
-    }
-}
-
-/// Owned, thread-shareable query engine: a storage backend plus all
-/// query-side metadata held **by value**.
-///
-/// [`QueryEngine`] is lifetime-bound — fine for one-shot CLI runs, but a
-/// long-lived server wants to open an index once, wrap it in an
-/// [`std::sync::Arc`], and let every worker thread query it for the
-/// process lifetime. `SharedEngine` is that owner: it is `Send + Sync`
-/// whenever the store is (all three backends are), queries take `&self`,
-/// and [`SharedEngine::view`] yields a borrowed [`QueryEngine`] over
-/// `&S` exposing the full query surface (single-pair, single-source,
-/// top-k, joins, batches) with the exact same scores.
+/// Every backend opens into one: an in-memory [`SlingIndex`] converts
+/// with `From`, and [`SharedEngine::open_mmap`],
+/// [`SharedEngine::open_mmap_compressed`] and [`SharedEngine::open_disk`]
+/// open a persisted file without decoding its entry payload. Callers that
+/// pick the backend at run time erase it with [`SharedEngine::into_dyn`].
+/// The engine is `Send + Sync` whenever the store is (every backend is)
+/// and queries take `&self`, so a long-lived process opens an index once,
+/// wraps the engine in an [`std::sync::Arc`], and queries it from every
+/// worker thread. Queries return `Result` because the out-of-core
+/// backends can fail mid-read; all backends return **identical** scores
+/// for the same persisted index.
 ///
 /// Workers keep their own [`QueryWorkspace`]/[`SingleSourceWorkspace`],
 /// so the hot path shares only immutable state — no locks.
@@ -2023,29 +1760,15 @@ impl SharedEngine<MmapHpArena> {
         path: impl AsRef<Path>,
     ) -> Result<SharedEngine<MmapHpArena>, SlingError> {
         let (arena, meta) = MmapHpArena::open_with_meta(path)?;
-        if meta.num_nodes != graph.num_nodes() || meta.num_edges != graph.num_edges() {
-            return Err(SlingError::GraphMismatch {
-                expected_nodes: meta.num_nodes,
-                found_nodes: graph.num_nodes(),
-            });
-        }
-        Ok(SharedEngine {
-            store: arena,
-            config: meta.config,
-            d: meta.d,
-            reduced: meta.reduced,
-            marks: meta.marks,
-            stats: meta.stats,
-            restore: RestoreCache::new(),
-        })
+        SharedEngine::from_meta(graph, arena, meta)
     }
 }
 
 impl SharedEngine<CompressedMmapArena> {
-    /// Open a block-compressed `SLNGIDX2` index as an owned mmap engine,
-    /// verifying it matches `graph`. Open cost is header, offset-table,
-    /// and block-directory validation plus the `O(n)` query-side
-    /// metadata; blocks are decoded on demand (see
+    /// Open a block-compressed `SLNGIDX2`/`SLNGIDX3` index as an owned
+    /// mmap engine, verifying it matches `graph`. Open cost is header,
+    /// offset-table, and block-directory validation plus the `O(n)`
+    /// query-side metadata; blocks are decoded on demand (see
     /// [`CompressedMmapArena`]). A lossless file answers bit-identically
     /// to every other backend.
     pub fn open_mmap_compressed(
@@ -2053,21 +1776,22 @@ impl SharedEngine<CompressedMmapArena> {
         path: impl AsRef<Path>,
     ) -> Result<SharedEngine<CompressedMmapArena>, SlingError> {
         let (arena, meta) = CompressedMmapArena::open_with_meta(path)?;
-        if meta.num_nodes != graph.num_nodes() || meta.num_edges != graph.num_edges() {
-            return Err(SlingError::GraphMismatch {
-                expected_nodes: meta.num_nodes,
-                found_nodes: graph.num_nodes(),
-            });
-        }
-        Ok(SharedEngine {
-            store: arena,
-            config: meta.config,
-            d: meta.d,
-            reduced: meta.reduced,
-            marks: meta.marks,
-            stats: meta.stats,
-            restore: RestoreCache::new(),
-        })
+        SharedEngine::from_meta(graph, arena, meta)
+    }
+}
+
+impl SharedEngine<DiskHpStore> {
+    /// Open a persisted index of any format as an owned disk engine,
+    /// verifying it matches `graph`. Only the `O(n)` offsets and
+    /// query-side metadata become resident; entries are fetched with
+    /// positioned reads (see [`DiskHpStore`]), which keep `&self`
+    /// queries thread-safe.
+    pub fn open_disk(
+        graph: &DiGraph,
+        path: impl AsRef<Path>,
+    ) -> Result<SharedEngine<DiskHpStore>, SlingError> {
+        let (store, meta) = DiskHpStore::open_with_meta(path)?;
+        SharedEngine::from_meta(graph, store, meta)
     }
 }
 
@@ -2086,25 +1810,41 @@ impl From<SlingIndex> for SharedEngine<HpArena> {
     }
 }
 
-impl<S: HpStore> SharedEngine<S> {
-    /// Assemble an engine from parts (used by the backend constructors).
-    pub(crate) fn from_owned_parts(
-        store: S,
-        config: SlingConfig,
-        d: Vec<f64>,
-        reduced: Vec<bool>,
-        marks: MarkArena,
-        stats: BuildStats,
-    ) -> Self {
+impl<S: HpStore + Send + Sync + 'static> SharedEngine<S> {
+    /// Erase the backend type, for callers that choose the backend at
+    /// run time.
+    pub fn into_dyn(self) -> SharedEngine<Box<dyn HpStore + Send + Sync>> {
         SharedEngine {
-            store,
-            config,
-            d,
-            reduced,
-            marks,
-            stats,
-            restore: RestoreCache::new(),
+            store: Box::new(self.store),
+            config: self.config,
+            d: self.d,
+            reduced: self.reduced,
+            marks: self.marks,
+            stats: self.stats,
+            restore: self.restore,
         }
+    }
+}
+
+impl<S: HpStore> SharedEngine<S> {
+    /// Pair a freshly opened store with the metadata decoded beside it,
+    /// rejecting an index built for another graph.
+    fn from_meta(graph: &DiGraph, store: S, meta: DecodedMeta) -> Result<Self, SlingError> {
+        if meta.num_nodes != graph.num_nodes() || meta.num_edges != graph.num_edges() {
+            return Err(SlingError::GraphMismatch {
+                expected_nodes: meta.num_nodes,
+                found_nodes: graph.num_nodes(),
+            });
+        }
+        Ok(SharedEngine {
+            store,
+            config: meta.config,
+            d: meta.d,
+            reduced: meta.reduced,
+            marks: meta.marks,
+            stats: meta.stats,
+            restore: RestoreCache::new(),
+        })
     }
 
     pub(crate) fn engine_ref(&self) -> EngineRef<'_, S> {
@@ -2116,19 +1856,6 @@ impl<S: HpStore> SharedEngine<S> {
             marks: &self.marks,
             restore_cache: Some(&self.restore),
         }
-    }
-
-    /// Borrowed [`QueryEngine`] view exposing the full query surface
-    /// (joins, truncated single-source, batches, type erasure, ...).
-    pub fn view(&self) -> QueryEngine<'_, &S> {
-        QueryEngine::from_parts(
-            &self.store,
-            Cow::Borrowed(&self.config),
-            Cow::Borrowed(&self.d[..]),
-            Cow::Borrowed(&self.reduced[..]),
-            Cow::Borrowed(&self.marks),
-            self.stats,
-        )
     }
 
     /// The backing store.
@@ -2163,7 +1890,9 @@ impl<S: HpStore> SharedEngine<S> {
         self.reduced.len()
     }
 
-    /// Heap-resident bytes: store + query-side metadata.
+    /// Heap-resident bytes: store + query-side metadata. For the
+    /// out-of-core backends this is `O(n)` — the entry payload stays in
+    /// the page cache or on disk.
     pub fn resident_bytes(&self) -> usize {
         self.store.resident_bytes()
             + self.d.len() * 8
@@ -2197,6 +1926,23 @@ impl<S: HpStore> SharedEngine<S> {
         single_pair_core(self.engine_ref(), graph, ws, u, v)
     }
 
+    /// Single-pair query through the **materializing reference path**:
+    /// both effective entry lists copied into the workspace, linear
+    /// merge — the pre-streaming kernel. Bit-identical to
+    /// [`SharedEngine::single_pair_with`] on every backend; kept public
+    /// so `sling bench-query` can measure the zero-copy/galloping gap and
+    /// the equivalence suite can assert it.
+    pub fn single_pair_materialized_with(
+        &self,
+        graph: &DiGraph,
+        ws: &mut QueryWorkspace,
+        u: NodeId,
+        v: NodeId,
+    ) -> Result<f64, SlingError> {
+        self.check_pair(u, v)?;
+        crate::single_pair::single_pair_materialized_core(self.engine_ref(), graph, ws, u, v)
+    }
+
     /// Single-source query from `u` (Algorithm 6).
     pub fn single_source(&self, graph: &DiGraph, u: NodeId) -> Result<Vec<f64>, SlingError> {
         let mut ws = SingleSourceWorkspace::new();
@@ -2216,6 +1962,34 @@ impl<S: HpStore> SharedEngine<S> {
     ) -> Result<(), SlingError> {
         self.engine_ref().check_node(u)?;
         single_source_core(self.engine_ref(), graph, ws, u, out)
+    }
+
+    /// Single-source query through the **materializing reference path**
+    /// (see [`SharedEngine::single_pair_materialized_with`]).
+    pub fn single_source_materialized_with(
+        &self,
+        graph: &DiGraph,
+        ws: &mut SingleSourceWorkspace,
+        u: NodeId,
+        out: &mut Vec<f64>,
+    ) -> Result<(), SlingError> {
+        self.engine_ref().check_node(u)?;
+        crate::single_source::single_source_materialized_core(self.engine_ref(), graph, ws, u, out)
+    }
+
+    /// Algorithm 6 with early termination (see
+    /// [`SlingIndex::single_source_truncated`]). Returns the residual
+    /// bound that was dropped.
+    pub fn single_source_truncated(
+        &self,
+        graph: &DiGraph,
+        ws: &mut SingleSourceWorkspace,
+        u: NodeId,
+        slack: f64,
+        out: &mut Vec<f64>,
+    ) -> Result<f64, SlingError> {
+        self.engine_ref().check_node(u)?;
+        single_source_truncated_core(self.engine_ref(), graph, ws, u, slack, out)
     }
 
     /// Top-k most similar nodes to `u` (excluding `u`), heap-selected.
@@ -2242,6 +2016,17 @@ impl<S: HpStore> SharedEngine<S> {
     ) -> Result<Vec<(NodeId, f64)>, SlingError> {
         self.single_source_with(graph, ws, u, scores)?;
         Ok(select_top_k(scores, Some(u), k))
+    }
+
+    /// All unordered pairs with `s̃(u, v) ≥ tau` (see
+    /// [`SlingIndex::threshold_join`]).
+    pub fn threshold_join(
+        &self,
+        graph: &DiGraph,
+        tau: f64,
+        strategy: JoinStrategy,
+    ) -> Result<Vec<JoinPair>, SlingError> {
+        threshold_join_core(self.engine_ref(), graph, tau, strategy)
     }
 }
 
@@ -2276,21 +2061,6 @@ impl<S: HpStore + Sync> SharedEngine<S> {
 }
 
 impl SlingIndex {
-    /// Borrowing query engine over the in-memory arena. Queries through
-    /// it return the same scores as the [`SlingIndex`] convenience
-    /// methods — and the same scores any other backend serving this index
-    /// would return.
-    pub fn query_engine(&self) -> QueryEngine<'_, &HpArena> {
-        QueryEngine::from_parts(
-            &self.hp,
-            Cow::Borrowed(&self.config),
-            Cow::Borrowed(&self.d),
-            Cow::Borrowed(&self.reduced),
-            Cow::Borrowed(&self.marks),
-            self.stats,
-        )
-    }
-
     /// Consume the index into an owned, `Arc`-shareable engine over its
     /// in-memory arena (see [`SharedEngine`]).
     pub fn into_shared_engine(self) -> SharedEngine<HpArena> {
@@ -2365,7 +2135,7 @@ mod tests {
             SlingIndex::from_bytes(&g, &bytes),
             Err(SlingError::CorruptIndex(_))
         ));
-        let engine = QueryEngine::open_mmap(&g, &path).unwrap();
+        let engine = SharedEngine::open_mmap(&g, &path).unwrap();
         // And the handle holds O(n) metadata, not the O(n/eps) payload.
         assert!(engine.resident_bytes() < idx.resident_bytes());
         assert!(
@@ -2379,7 +2149,7 @@ mod tests {
     fn engine_from_index_matches_index_queries() {
         let g = two_cliques_bridge(5);
         let idx = SlingIndex::build(&g, &cfg()).unwrap();
-        let engine = idx.query_engine();
+        let engine = SharedEngine::from(idx.clone());
         for u in g.nodes() {
             assert_eq!(
                 engine.single_source(&g, u).unwrap(),
@@ -2402,7 +2172,7 @@ mod tests {
         let idx = SlingIndex::build(&g, &cfg()).unwrap();
         let path = tmp("exact");
         idx.save(&path).unwrap();
-        let engine = QueryEngine::open_mmap(&g, &path).unwrap();
+        let engine = SharedEngine::open_mmap(&g, &path).unwrap();
         for u in [NodeId(0), NodeId(17), NodeId(149)] {
             assert_eq!(
                 engine.single_source(&g, u).unwrap(),
@@ -2417,7 +2187,7 @@ mod tests {
     fn batch_queries_reject_out_of_range_nodes() {
         let g = two_cliques_bridge(4);
         let idx = SlingIndex::build(&g, &cfg()).unwrap();
-        let engine = idx.query_engine();
+        let engine = SharedEngine::from(idx);
         assert!(matches!(
             engine.batch_single_pair(&g, &[(NodeId(0), NodeId(9999))], 1),
             Err(SlingError::NodeOutOfRange { .. })
@@ -2436,18 +2206,18 @@ mod tests {
         idx.save(&path).unwrap();
         let other = two_cliques_bridge(5);
         assert!(matches!(
-            QueryEngine::open_mmap(&other, &path),
+            SharedEngine::open_mmap(&other, &path),
             Err(SlingError::GraphMismatch { .. })
         ));
         assert!(matches!(
-            SharedEngine::open_mmap(&other, &path),
+            SharedEngine::open_disk(&other, &path),
             Err(SlingError::GraphMismatch { .. })
         ));
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
-    fn shared_engine_view_matches_index_and_is_arc_shareable() {
+    fn shared_engine_matches_index_and_is_arc_shareable() {
         let g = barabasi_albert(120, 3, 19).unwrap();
         let idx = SlingIndex::build(&g, &cfg()).unwrap();
         let path = tmp("shared");
@@ -2455,8 +2225,8 @@ mod tests {
         let shared = std::sync::Arc::new(SharedEngine::open_mmap(&g, &path).unwrap());
         assert_eq!(shared.num_nodes(), g.num_nodes());
         assert_eq!(shared.stats().entries_stored, idx.stats().entries_stored);
-        // Direct methods, the view, and the index agree bit-for-bit —
-        // from multiple threads sharing one Arc.
+        // The engine and the index agree bit-for-bit — from multiple
+        // threads sharing one Arc.
         std::thread::scope(|s| {
             for t in 0..4u32 {
                 let shared = std::sync::Arc::clone(&shared);
@@ -2467,7 +2237,6 @@ mod tests {
                         let (u, v) = (NodeId((t * 31 + i) % 120), NodeId((i * 7 + 1) % 120));
                         let want = idx.single_pair(g, u, v);
                         assert_eq!(shared.single_pair_with(g, &mut ws, u, v).unwrap(), want);
-                        assert_eq!(shared.view().single_pair(g, u, v).unwrap(), want);
                     }
                     let u = NodeId(t % 120);
                     assert_eq!(shared.single_source(g, u).unwrap(), idx.single_source(g, u));
@@ -2986,14 +2755,35 @@ mod tests {
         let idx = SlingIndex::build(&g, &cfg()).unwrap();
         let path = tmp("diskshared");
         idx.save(&path).unwrap();
-        let store = crate::out_of_core::DiskHpStore::open(&g, &path).unwrap();
-        let engine = store.into_shared_engine();
+        let engine = SharedEngine::open_disk(&g, &path).unwrap();
         for u in g.nodes() {
             assert_eq!(
                 engine.single_source(&g, u).unwrap(),
                 idx.single_source(&g, u)
             );
         }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn disk_engine_holds_its_metadata_once() {
+        let g = barabasi_albert(200, 3, 7).unwrap();
+        let idx = SlingIndex::build(&g, &cfg()).unwrap();
+        assert!(idx.stats().marked_entries > 0, "fixture must carry marks");
+        let path = tmp("diskmeta");
+        idx.save(&path).unwrap();
+        let mmap = SharedEngine::open_mmap(&g, &path).unwrap();
+        let disk = SharedEngine::open_disk(&g, &path).unwrap();
+        // Both engines count the same query-side metadata once; the disk
+        // store adds only its (n + 1)-entry offset table to its handle.
+        assert_eq!(
+            disk.resident_bytes() - disk.store().resident_bytes(),
+            mmap.resident_bytes() - mmap.store().resident_bytes()
+        );
+        assert_eq!(
+            disk.store().resident_bytes(),
+            std::mem::size_of::<DiskHpStore>() + (g.num_nodes() + 1) * 8
+        );
         std::fs::remove_file(&path).ok();
     }
 }

@@ -109,8 +109,7 @@
 //! * **Kernel stages** — per-query breakdowns recorded by the traced
 //!   worker workspaces into `sling_query_stage_{entry_fetch,restore,
 //!   merge,propagate}_ns` histograms, alongside the process-wide kernel
-//!   counters (`sling_kernel_*_total`, `sling_buffered_disk_*_total`)
-//!   from [`sling_core::obs::KERNEL`].
+//!   counters (`sling_kernel_*_total`) from [`sling_core::obs::KERNEL`].
 //! * **Lifecycle** — `sling_lifecycle_*_total` (publish / promote / GC /
 //!   warm-up) and the swap-slot family (`sling_index_epoch`,
 //!   `sling_index_swaps_total`, `sling_index_reload_failures_total`), so

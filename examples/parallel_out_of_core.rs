@@ -5,8 +5,8 @@
 //! cargo run --release --example parallel_out_of_core
 //! ```
 
-use sling_simrank::core::out_of_core::{build_out_of_core, DiskHpStore, OutOfCoreConfig};
-use sling_simrank::core::{SlingConfig, SlingIndex};
+use sling_simrank::core::out_of_core::{build_out_of_core, OutOfCoreConfig};
+use sling_simrank::core::{SharedEngine, SlingConfig, SlingIndex};
 use sling_simrank::graph::generators::rmat;
 use sling_simrank::graph::generators::RmatConfig;
 use sling_simrank::graph::NodeId;
@@ -60,16 +60,14 @@ fn main() {
     );
 
     // 4. Disk-resident querying: only O(n) stays in memory.
-    let hp_path = std::env::temp_dir().join("sling_example_hp.bin");
-    let store = DiskHpStore::create(&serial, &hp_path).expect("store");
+    let engine = SharedEngine::open_disk(&graph, &idx_path).expect("disk engine");
     let mem = serial.single_pair(&graph, u, v);
-    let disk = store.single_pair(&graph, u, v).expect("disk query");
+    let disk = engine.single_pair(&graph, u, v).expect("disk query");
     println!(
-        "disk store: {} resident bytes vs {} in-memory; s({u},{v}) = {disk:.5} (memory {mem:.5})",
-        store.resident_bytes(),
+        "disk engine: {} resident bytes vs {} in-memory; s({u},{v}) = {disk:.5} (memory {mem:.5})",
+        engine.resident_bytes(),
         serial.resident_bytes()
     );
     assert!((mem - disk).abs() < 1e-12);
     std::fs::remove_file(idx_path).ok();
-    std::fs::remove_file(hp_path).ok();
 }

@@ -1,8 +1,10 @@
 //! Cross-backend equivalence: every query API must return identical
 //! scores whether the index is served from memory, from a zero-copy mmap,
-//! or from the buffered disk store — including with §5.2 space reduction
-//! and §5.3 accuracy enhancement enabled. Plus hardening properties for
-//! the mmap path: metadata-only open, and no panic on mutated bytes.
+//! from a compressed mmap, or from the disk store — and through the
+//! cache-less `SlingIndex` convenience API — including with §5.2 space
+//! reduction and §5.3 accuracy enhancement enabled. Plus hardening
+//! properties for the mmap path: metadata-only open, and no panic on
+//! mutated bytes.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -10,13 +12,11 @@ use std::sync::OnceLock;
 
 use proptest::prelude::*;
 use sling_simrank::core::codec::CompressOptions;
-use sling_simrank::core::disk_query::BufferedDiskStore;
-use sling_simrank::core::join::JoinStrategy;
-use sling_simrank::core::out_of_core::DiskHpStore;
+use sling_simrank::core::join::{JoinPair, JoinStrategy};
 use sling_simrank::core::single_source::SingleSourceWorkspace;
 use sling_simrank::core::topk::select_top_k;
 use sling_simrank::core::{
-    HpStore, QueryEngine, QueryWorkspace, SlingConfig, SlingError, SlingIndex,
+    HpStore, QueryWorkspace, SharedEngine, SlingConfig, SlingError, SlingIndex,
 };
 use sling_simrank::graph::generators::{barabasi_albert, erdos_renyi_directed, star_graph};
 use sling_simrank::graph::{DiGraph, NodeId};
@@ -40,7 +40,7 @@ fn tmpfile(tag: &str) -> PathBuf {
 /// type. Two rounds, so the second runs against a warm restore cache.
 fn assert_streaming_matches_materialized<S: HpStore + Sync>(
     label: &str,
-    engine: &QueryEngine<'_, S>,
+    engine: &SharedEngine<S>,
     g: &DiGraph,
     pairs: &[(NodeId, NodeId)],
     sources: &[NodeId],
@@ -107,19 +107,116 @@ fn arb_graph() -> impl Strategy<Value = DiGraph> {
     })
 }
 
+/// Slack of the truncated single-source row: large enough that
+/// Algorithm 6 actually skips step runs on the test graphs.
+const TRUNCATION_SLACK: f64 = 0.01;
+
+/// Every query API's answers on one fixed query set: one row of the
+/// equivalence matrix.
+#[derive(Debug, PartialEq)]
+struct Answers {
+    pairs: Vec<f64>,
+    sources: Vec<Vec<f64>>,
+    top_k: Vec<Vec<(NodeId, f64)>>,
+    truncated: Vec<(f64, Vec<f64>)>,
+    joins: Vec<Vec<(NodeId, NodeId, f64)>>,
+    batch: Vec<f64>,
+}
+
+const JOIN_STRATEGIES: [JoinStrategy; 2] = [JoinStrategy::PerSource, JoinStrategy::InvertedLists];
+
+fn join_row(pairs: Vec<JoinPair>) -> Vec<(NodeId, NodeId, f64)> {
+    pairs.into_iter().map(|p| (p.u, p.v, p.score)).collect()
+}
+
+fn engine_answers<S: HpStore + Sync>(
+    engine: &SharedEngine<S>,
+    g: &DiGraph,
+    pairs: &[(NodeId, NodeId)],
+    sources: &[NodeId],
+) -> Answers {
+    let mut ssw = SingleSourceWorkspace::new();
+    Answers {
+        pairs: pairs
+            .iter()
+            .map(|&(u, v)| engine.single_pair(g, u, v).unwrap())
+            .collect(),
+        sources: sources
+            .iter()
+            .map(|&u| engine.single_source(g, u).unwrap())
+            .collect(),
+        top_k: sources
+            .iter()
+            .map(|&u| engine.top_k(g, u, 5).unwrap())
+            .collect(),
+        truncated: sources
+            .iter()
+            .map(|&u| {
+                let mut out = Vec::new();
+                let residual = engine
+                    .single_source_truncated(g, &mut ssw, u, TRUNCATION_SLACK, &mut out)
+                    .unwrap();
+                (residual, out)
+            })
+            .collect(),
+        joins: JOIN_STRATEGIES
+            .iter()
+            .map(|&s| join_row(engine.threshold_join(g, 0.05, s).unwrap()))
+            .collect(),
+        batch: engine.batch_single_pair(g, pairs, 3).unwrap(),
+    }
+}
+
+/// The cache-less row: the `SlingIndex` convenience API carries no
+/// `RestoreCache`, so §5.2-reduced nodes stream the two-segment view
+/// where every engine resolves a cached full list.
+fn index_answers(
+    idx: &SlingIndex,
+    g: &DiGraph,
+    pairs: &[(NodeId, NodeId)],
+    sources: &[NodeId],
+) -> Answers {
+    let mut ssw = SingleSourceWorkspace::new();
+    Answers {
+        pairs: pairs
+            .iter()
+            .map(|&(u, v)| idx.single_pair(g, u, v))
+            .collect(),
+        sources: sources.iter().map(|&u| idx.single_source(g, u)).collect(),
+        top_k: sources.iter().map(|&u| idx.top_k_heap(g, u, 5)).collect(),
+        truncated: sources
+            .iter()
+            .map(|&u| {
+                let mut out = Vec::new();
+                let residual =
+                    idx.single_source_truncated(g, &mut ssw, u, TRUNCATION_SLACK, &mut out);
+                (residual, out)
+            })
+            .collect(),
+        joins: JOIN_STRATEGIES
+            .iter()
+            .map(|&s| join_row(idx.threshold_join(g, 0.05, s).unwrap()))
+            .collect(),
+        batch: idx.batch_single_pair(g, pairs, 3),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig {
         cases: 12,
         ..ProptestConfig::default()
     })]
 
-    /// Single-pair, single-source, top-k, join, and batch answers agree
-    /// across mem / mmap / disk / buffered-disk — plus the lossless
-    /// compressed-mmap and compressed-disk backends serving `SLNGIDX2`
-    /// and `SLNGIDX3` conversions of the same index — to 1e-12 (in
-    /// fact: bit for bit) on random graphs, across the §5.2/§5.3
-    /// feature matrix (which also pins the two-segment streaming
-    /// restore against the materializing reference, warm and cold).
+    /// Single-pair, single-source, top-k, truncated single-source, join,
+    /// and batch answers are bit-identical across the engines over mem /
+    /// mmap / disk — plus the lossless compressed-mmap and
+    /// compressed-disk backends serving `SLNGIDX2` and `SLNGIDX3`
+    /// conversions of the same index — and the cache-less `SlingIndex`
+    /// API, on random graphs across the §5.2/§5.3 feature matrix. Every
+    /// engine carries a `RestoreCache`; the cache-less row is what pins
+    /// the two-segment streaming restore against the cached full lists.
+    /// Per engine, the streaming kernels are also pinned against the
+    /// materializing reference path, warm and cold.
     #[test]
     fn all_query_apis_agree_across_backends(
         g in arb_graph(),
@@ -141,90 +238,33 @@ proptest! {
         let v3_path = tmpfile("eq_v3");
         idx.save_v3(&v3_path, &opts).unwrap();
 
-        let mem = idx.query_engine();
-        let mmap = QueryEngine::open_mmap(&g, &path).unwrap();
-        let compressed = QueryEngine::open_mmap_compressed(&g, &v2_path).unwrap();
-        let compressed_v3 = QueryEngine::open_mmap_compressed(&g, &v3_path).unwrap();
-        let disk = DiskHpStore::open(&g, &path).unwrap();
-        let disk_engine = disk.query_engine();
-        let disk_v2 = DiskHpStore::open(&g, &v2_path).unwrap();
-        let disk_v2_engine = disk_v2.query_engine();
-        let disk_v3 = DiskHpStore::open(&g, &v3_path).unwrap();
-        let disk_v3_engine = disk_v3.query_engine();
-        // A 64-entry budget forces constant eviction on these graphs.
-        let buffered = BufferedDiskStore::new(&disk, 64);
-        let buffered_engine = buffered.query_engine();
+        let engines = [
+            ("mem", SharedEngine::from(idx.clone()).into_dyn()),
+            ("mmap", SharedEngine::open_mmap(&g, &path).unwrap().into_dyn()),
+            (
+                "mmap-compressed",
+                SharedEngine::open_mmap_compressed(&g, &v2_path).unwrap().into_dyn(),
+            ),
+            (
+                "mmap-compressed-v3",
+                SharedEngine::open_mmap_compressed(&g, &v3_path).unwrap().into_dyn(),
+            ),
+            ("disk", SharedEngine::open_disk(&g, &path).unwrap().into_dyn()),
+            ("disk-v2", SharedEngine::open_disk(&g, &v2_path).unwrap().into_dyn()),
+            ("disk-v3", SharedEngine::open_disk(&g, &v3_path).unwrap().into_dyn()),
+        ];
 
         let n = g.num_nodes() as u32;
         let pairs: Vec<(NodeId, NodeId)> = (0..24u32)
             .map(|i| (NodeId((i * 7) % n), NodeId((i * 13 + 1) % n)))
             .collect();
+        let sources = [NodeId(0), NodeId(n / 2), NodeId(n - 1)];
 
-        for &(u, v) in &pairs {
-            let want = mem.single_pair(&g, u, v).unwrap();
-            for (label, got) in [
-                ("mmap", mmap.single_pair(&g, u, v).unwrap()),
-                ("mmap-compressed", compressed.single_pair(&g, u, v).unwrap()),
-                ("mmap-compressed-v3", compressed_v3.single_pair(&g, u, v).unwrap()),
-                ("disk", disk_engine.single_pair(&g, u, v).unwrap()),
-                ("disk-v2", disk_v2_engine.single_pair(&g, u, v).unwrap()),
-                ("disk-v3", disk_v3_engine.single_pair(&g, u, v).unwrap()),
-                ("buffered", buffered_engine.single_pair(&g, u, v).unwrap()),
-            ] {
-                prop_assert!(
-                    (want - got).abs() <= 1e-12,
-                    "single_pair({u:?},{v:?}) {label}: {want} vs {got}"
-                );
-                prop_assert_eq!(want, got, "single_pair bit-equality, {}", label);
-            }
+        let want = index_answers(&idx, &g, &pairs, &sources);
+        for (label, engine) in &engines {
+            let got = engine_answers(engine, &g, &pairs, &sources);
+            prop_assert_eq!(&got, &want, "{} vs the cache-less SlingIndex row", label);
         }
-
-        for u in [NodeId(0), NodeId(n / 2), NodeId(n - 1)] {
-            let want = mem.single_source(&g, u).unwrap();
-            prop_assert_eq!(&want, &mmap.single_source(&g, u).unwrap());
-            prop_assert_eq!(&want, &compressed.single_source(&g, u).unwrap());
-            prop_assert_eq!(&want, &compressed_v3.single_source(&g, u).unwrap());
-            prop_assert_eq!(&want, &disk_engine.single_source(&g, u).unwrap());
-            prop_assert_eq!(&want, &disk_v2_engine.single_source(&g, u).unwrap());
-            prop_assert_eq!(&want, &disk_v3_engine.single_source(&g, u).unwrap());
-            prop_assert_eq!(&want, &buffered_engine.single_source(&g, u).unwrap());
-
-            let want_top = mem.top_k(&g, u, 5).unwrap();
-            prop_assert_eq!(&want_top, &mmap.top_k(&g, u, 5).unwrap());
-            prop_assert_eq!(&want_top, &compressed.top_k(&g, u, 5).unwrap());
-            prop_assert_eq!(&want_top, &compressed_v3.top_k(&g, u, 5).unwrap());
-            prop_assert_eq!(&want_top, &disk_engine.top_k(&g, u, 5).unwrap());
-            prop_assert_eq!(&want_top, &disk_v2_engine.top_k(&g, u, 5).unwrap());
-            prop_assert_eq!(&want_top, &disk_v3_engine.top_k(&g, u, 5).unwrap());
-            prop_assert_eq!(&want_top, &buffered_engine.top_k(&g, u, 5).unwrap());
-        }
-
-        for strategy in [JoinStrategy::PerSource, JoinStrategy::InvertedLists] {
-            let want = mem.threshold_join(&g, 0.05, strategy).unwrap();
-            let via_mmap = mmap.threshold_join(&g, 0.05, strategy).unwrap();
-            prop_assert_eq!(want.len(), via_mmap.len());
-            for (a, b) in want.iter().zip(&via_mmap) {
-                prop_assert_eq!((a.u, a.v, a.score), (b.u, b.v, b.score));
-            }
-            let via_compressed = compressed.threshold_join(&g, 0.05, strategy).unwrap();
-            prop_assert_eq!(want.len(), via_compressed.len());
-            for (a, b) in want.iter().zip(&via_compressed) {
-                prop_assert_eq!((a.u, a.v, a.score), (b.u, b.v, b.score));
-            }
-            let via_buffered = buffered_engine.threshold_join(&g, 0.05, strategy).unwrap();
-            prop_assert_eq!(want.len(), via_buffered.len());
-            for (a, b) in want.iter().zip(&via_buffered) {
-                prop_assert_eq!((a.u, a.v, a.score), (b.u, b.v, b.score));
-            }
-        }
-
-        let want = mem.batch_single_pair(&g, &pairs, 3).unwrap();
-        prop_assert_eq!(&want, &mmap.batch_single_pair(&g, &pairs, 3).unwrap());
-        prop_assert_eq!(&want, &compressed.batch_single_pair(&g, &pairs, 3).unwrap());
-        prop_assert_eq!(&want, &compressed_v3.batch_single_pair(&g, &pairs, 3).unwrap());
-        prop_assert_eq!(&want, &disk_v2_engine.batch_single_pair(&g, &pairs, 3).unwrap());
-        prop_assert_eq!(&want, &disk_v3_engine.batch_single_pair(&g, &pairs, 3).unwrap());
-        prop_assert_eq!(&want, &buffered_engine.batch_single_pair(&g, &pairs, 3).unwrap());
 
         // Streaming kernels vs the materializing reference path, per
         // backend × query type, across the same §5.2/§5.3 feature
@@ -233,21 +273,9 @@ proptest! {
         let hub = g.nodes().max_by_key(|&v| g.in_degree(v)).unwrap();
         let mut skewed = pairs.clone();
         skewed.extend((0..8u32).map(|i| (hub, NodeId((i * 5 + 1) % n))));
-        let sources = [NodeId(0), NodeId(n / 2), NodeId(n - 1)];
-        assert_streaming_matches_materialized("mem", &mem, &g, &skewed, &sources);
-        assert_streaming_matches_materialized("mmap", &mmap, &g, &skewed, &sources);
-        assert_streaming_matches_materialized("mmap-compressed", &compressed, &g, &skewed, &sources);
-        assert_streaming_matches_materialized(
-            "mmap-compressed-v3",
-            &compressed_v3,
-            &g,
-            &skewed,
-            &sources,
-        );
-        assert_streaming_matches_materialized("disk", &disk_engine, &g, &skewed, &sources);
-        assert_streaming_matches_materialized("disk-v2", &disk_v2_engine, &g, &skewed, &sources);
-        assert_streaming_matches_materialized("disk-v3", &disk_v3_engine, &g, &skewed, &sources);
-        assert_streaming_matches_materialized("buffered", &buffered_engine, &g, &skewed, &sources);
+        for (label, engine) in &engines {
+            assert_streaming_matches_materialized(label, engine, &g, &skewed, &sources);
+        }
 
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(&v2_path).ok();
@@ -291,14 +319,14 @@ fn skewed_stored_lists_stream_and_gallop_bit_identically() {
         .flat_map(|v| [(hub, v), (v, hub)])
         .collect();
     let sources = [hub, leaf];
-    let mem = idx.query_engine();
+    let mem = SharedEngine::from(idx);
     assert_streaming_matches_materialized("mem", &mem, &g, &pairs, &sources);
-    let mmap = QueryEngine::open_mmap(&g, &path).unwrap();
+    let mmap = SharedEngine::open_mmap(&g, &path).unwrap();
     assert_streaming_matches_materialized("mmap", &mmap, &g, &pairs, &sources);
-    let compressed = QueryEngine::open_mmap_compressed(&g, &v2_path).unwrap();
+    let compressed = SharedEngine::open_mmap_compressed(&g, &v2_path).unwrap();
     assert_streaming_matches_materialized("compressed", &compressed, &g, &pairs, &sources);
-    let disk = DiskHpStore::open(&g, &path).unwrap();
-    assert_streaming_matches_materialized("disk", &disk.query_engine(), &g, &pairs, &sources);
+    let disk = SharedEngine::open_disk(&g, &path).unwrap();
+    assert_streaming_matches_materialized("disk", &disk, &g, &pairs, &sources);
     std::fs::remove_file(&path).ok();
     std::fs::remove_file(&v2_path).ok();
 }
@@ -312,7 +340,7 @@ fn star_graph_extreme_skew_is_bit_identical() {
     let config = SlingConfig::from_epsilon(C, 0.05).with_seed(3);
     let idx = SlingIndex::build(&g, &config).unwrap();
     let pairs: Vec<(NodeId, NodeId)> = (1..40u32).map(|i| (NodeId(0), NodeId(i))).collect();
-    let mem = idx.query_engine();
+    let mem = SharedEngine::from(idx);
     assert_streaming_matches_materialized("star-mem", &mem, &g, &pairs, &[NodeId(0), NodeId(7)]);
 }
 
@@ -348,7 +376,7 @@ proptest! {
         let path = tmpfile("mut");
         std::fs::write(&path, &corrupt).unwrap();
 
-        match QueryEngine::open_mmap(g, &path) {
+        match SharedEngine::open_mmap(g, &path) {
             Err(e) => {
                 // Must be a structured error, never a panic; exercise the
                 // Display path too.
@@ -384,7 +412,7 @@ proptest! {
         let cut = cut_seed % bytes.len(); // strictly shorter than full
         let path = tmpfile("trunc");
         std::fs::write(&path, &bytes[..cut]).unwrap();
-        let err = QueryEngine::open_mmap(g, &path);
+        let err = SharedEngine::open_mmap(g, &path);
         prop_assert!(err.is_err(), "cut at {cut} accepted");
         std::fs::remove_file(&path).ok();
     }
@@ -410,7 +438,7 @@ fn mmap_open_does_not_decode_the_payload() {
     ));
     let path = tmpfile("payload");
     std::fs::write(&path, &bytes).unwrap();
-    let engine = QueryEngine::open_mmap(&g, &path).unwrap();
+    let engine = SharedEngine::open_mmap(&g, &path).unwrap();
 
     // No HpArena materialization: the engine's heap footprint is the
     // O(n) metadata, far below the in-memory index which holds the

@@ -16,7 +16,6 @@ use sling_simrank::core::codec::block::{
     DecodedBlock,
 };
 use sling_simrank::core::codec::{encode_payload, encode_payload_v3, CompressOptions};
-use sling_simrank::core::out_of_core::DiskHpStore;
 use sling_simrank::core::store::{CompressedMmapArena, HpStore};
 use sling_simrank::core::{
     inspect_bytes, FormatVersion, HpEntry, SharedEngine, SlingConfig, SlingIndex,
@@ -569,8 +568,8 @@ proptest! {
         if let Ok(arena) = CompressedMmapArena::open(&path) {
             assert_reads_error_or_validate(&arena, "mmap-compressed");
         }
-        if let Ok(disk) = DiskHpStore::open(g, &path) {
-            assert_reads_error_or_validate(&disk, "disk");
+        if let Ok(disk) = SharedEngine::open_disk(g, &path) {
+            assert_reads_error_or_validate(disk.store(), "disk");
         }
         std::fs::remove_file(&path).ok();
     }

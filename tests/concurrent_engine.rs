@@ -133,14 +133,6 @@ fn owned_in_memory_engine_matches_too() {
     let engine = Arc::new(idx.into_shared_engine());
     let cache = ShardedResultCache::with_capacity(1 << 12);
     hammer(&engine, &g, &pairs, &want_pairs, &want_topk, Some(&cache));
-    // The owned engine also exposes the full view surface.
-    let view = engine.view();
-    assert_eq!(
-        view.single_pair(&g, pairs[0].0, pairs[0].1)
-            .unwrap()
-            .to_bits(),
-        want_pairs[0].to_bits()
-    );
     std::fs::remove_file(&path).ok();
 }
 

@@ -4,11 +4,11 @@
 //! other.
 
 use sling_simrank::baselines::{power_simrank, top_k_pairs};
-use sling_simrank::core::cache::CachedQueries;
 use sling_simrank::core::dynamic::{DynamicConfig, DynamicSling, StalePolicy};
 use sling_simrank::core::join::JoinStrategy;
-use sling_simrank::core::out_of_core::DiskHpStore;
-use sling_simrank::core::{SlingConfig, SlingIndex};
+use sling_simrank::core::{
+    QueryWorkspace, ShardedResultCache, SharedEngine, SlingConfig, SlingIndex,
+};
 use sling_simrank::graph::generators::{barabasi_albert, two_cliques_bridge, watts_strogatz};
 use sling_simrank::graph::{DiGraph, NodeId};
 
@@ -123,8 +123,11 @@ fn cached_disk_and_memory_paths_agree() {
     let idx = build(&g, 5);
     let dir = std::env::temp_dir().join(format!("sling_ext_test_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let store = DiskHpStore::create(&idx, dir.join("hp.bin")).unwrap();
-    let mut cache = CachedQueries::new(&idx, 256);
+    idx.save(dir.join("hp.bin")).unwrap();
+    let disk = SharedEngine::open_disk(&g, dir.join("hp.bin")).unwrap();
+    let mem = SharedEngine::from(idx.clone());
+    let cache = ShardedResultCache::new(256, 1);
+    let mut ws = QueryWorkspace::new();
     let sc = C.sqrt();
     let theta = idx.config().theta;
     // Enhancement entries are not persisted in the disk store, so disk
@@ -134,8 +137,8 @@ fn cached_disk_and_memory_paths_agree() {
     for i in 0..40u32 {
         let (u, v) = (NodeId(i * 3 % 150), NodeId((i * 7 + 1) % 150));
         let memory = idx.single_pair(&g, u, v);
-        let cached = cache.single_pair(&g, u, v);
-        let disk = store.single_pair(&g, u, v).unwrap();
+        let cached = mem.single_pair_cached(&g, &mut ws, &cache, u, v).unwrap();
+        let disk = disk.single_pair(&g, u, v).unwrap();
         assert!((memory - cached).abs() < 1e-12);
         assert!(
             (memory - disk).abs() <= slack,

@@ -2,8 +2,8 @@
 //! construction, out-of-core construction, and disk-resident querying on
 //! larger graphs than the unit tests use.
 
-use sling_simrank::core::out_of_core::{build_out_of_core, DiskHpStore, OutOfCoreConfig};
-use sling_simrank::core::{SlingConfig, SlingIndex};
+use sling_simrank::core::out_of_core::{build_out_of_core, OutOfCoreConfig};
+use sling_simrank::core::{SharedEngine, SlingConfig, SlingIndex};
 use sling_simrank::graph::generators::{barabasi_albert, rmat, RmatConfig};
 use sling_simrank::graph::NodeId;
 
@@ -51,8 +51,7 @@ fn save_load_disk_store_agree_on_larger_graph() {
     idx.save(&idx_path).unwrap();
     let loaded = SlingIndex::load(&g, &idx_path).unwrap();
 
-    let store_path = tmp("hp.bin");
-    let store = DiskHpStore::create(&idx, &store_path).unwrap();
+    let disk = SharedEngine::open_disk(&g, &idx_path).unwrap();
 
     for (u, v) in [(0u32, 1u32), (17, 940), (500, 501), (999, 0), (3, 3)] {
         let a = idx.single_pair(&g, NodeId(u), NodeId(v));
@@ -61,11 +60,10 @@ fn save_load_disk_store_agree_on_larger_graph() {
         // The disk store persists the §5.3 marks along with everything
         // else, so it answers bit-identically to the enhanced in-memory
         // index.
-        let c = store.single_pair(&g, NodeId(u), NodeId(v)).unwrap();
+        let c = disk.single_pair(&g, NodeId(u), NodeId(v)).unwrap();
         assert_eq!(a, c, "disk store disagrees at ({u},{v})");
     }
     std::fs::remove_file(idx_path).ok();
-    std::fs::remove_file(store_path).ok();
 }
 
 #[test]
