@@ -331,7 +331,8 @@ impl GenerationStore {
     /// Publish an in-memory index (and optionally its graph) as a new
     /// generation. `SLNGIDX1` layout; use
     /// [`GenerationStore::publish_bytes`] with
-    /// [`SlingIndex::to_bytes_v2`] output for a compressed generation.
+    /// [`SlingIndex::to_bytes_v3`] (or `to_bytes_v2`) output for a
+    /// compressed generation.
     pub fn publish_index(
         &self,
         index: &SlingIndex,

@@ -15,7 +15,7 @@
 //!
 //! ```text
 //! SLNGMANIFEST1
-//! format SLNGIDX1
+//! format SLNGIDX1      (or SLNGIDX2 / SLNGIDX3)
 //! nodes 2000
 //! edges 7988
 //! epsilon 0.1
@@ -194,6 +194,7 @@ impl Manifest {
                     .replace(match value {
                         "SLNGIDX1" => FormatVersion::V1,
                         "SLNGIDX2" => FormatVersion::V2,
+                        "SLNGIDX3" => FormatVersion::V3,
                         other => return Err(corrupt(format!("unknown format {other:?}"))),
                     })
                     .is_some(),
@@ -271,9 +272,14 @@ mod tests {
     #[test]
     fn round_trips_with_and_without_graph_snapshot() {
         for graph in [false, true] {
-            let m = sample(graph);
-            let text = m.encode();
-            assert_eq!(Manifest::parse(&text).unwrap(), m);
+            for format in [FormatVersion::V1, FormatVersion::V2, FormatVersion::V3] {
+                let m = Manifest {
+                    format,
+                    ..sample(graph)
+                };
+                let text = m.encode();
+                assert_eq!(Manifest::parse(&text).unwrap(), m);
+            }
         }
     }
 

@@ -23,7 +23,7 @@
 //!   hotkeys.log        replayable traffic lines for cache warm-up
 //!                      (SLNGTRACE records; legacy "<u> <v>" still parses)
 //!   gen-0001/
-//!     index.slng       the index payload (SLNGIDX1 or SLNGIDX2)
+//!     index.slng       the index payload (SLNGIDX1, SLNGIDX2 or SLNGIDX3)
 //!     graph.bin        optional SLNGGRF1 graph snapshot
 //!     MANIFEST         checksummed text record (see below)
 //!   gen-0002/
@@ -42,7 +42,7 @@
 //!
 //! ```text
 //! SLNGMANIFEST1
-//! format SLNGIDX1 | SLNGIDX2
+//! format SLNGIDX1 | SLNGIDX2 | SLNGIDX3
 //! nodes <n>            edges <m>         — source-graph fingerprint
 //! epsilon <ε>          c <c>   seed <s>  — build configuration
 //! index_bytes <len>    index_fnv1a <hex> — payload digest
@@ -172,6 +172,56 @@ mod tests {
         store.promote(g2).unwrap();
         assert_eq!(store.current().unwrap(), Some(GenId(2)));
         assert!(store.load_graph(g2).unwrap().is_none());
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    /// A `sling compact`ed (`SLNGIDX3`) image publishes, promotes (its
+    /// manifest must read back), and serves `mmap-compressed` answers
+    /// bit-identical to the `SLNGIDX1` generation of the same index.
+    #[test]
+    fn compacted_v3_generation_promotes_and_answers_like_v1() {
+        use crate::format::FormatVersion;
+        use crate::store::SharedEngine;
+        use crate::CompressOptions;
+
+        let g = barabasi_albert(300, 3, 17).unwrap();
+        let idx = SlingIndex::build(&g, &cfg(5)).unwrap();
+        let root = tmp_root("v3");
+        let store = GenerationStore::open(&root).unwrap();
+        let v1_gen = store.publish_index(&idx, Some(&g)).unwrap();
+        let v3_gen = store
+            .publish_bytes(&idx.to_bytes_v3(&CompressOptions::default()), None)
+            .unwrap();
+        store.promote(v3_gen).unwrap();
+        assert_eq!(store.current().unwrap(), Some(v3_gen));
+        assert_eq!(store.manifest(v3_gen).unwrap().format, FormatVersion::V3);
+
+        let v1 = SlingIndex::load(&g, store.index_path(v1_gen)).unwrap();
+        let v3 = SharedEngine::open_mmap_compressed(&g, store.index_path(v3_gen)).unwrap();
+        for u in (0..300).step_by(37) {
+            for v in (0..300).step_by(23) {
+                let (u, v) = (NodeId(u), NodeId(v));
+                assert_eq!(
+                    v3.single_pair(&g, u, v).unwrap().to_bits(),
+                    v1.single_pair(&g, u, v).to_bits(),
+                    "pair ({}, {})",
+                    u.0,
+                    v.0
+                );
+            }
+            let want: Vec<u64> = v1
+                .single_source(&g, NodeId(u))
+                .iter()
+                .map(|s| s.to_bits())
+                .collect();
+            let got: Vec<u64> = v3
+                .single_source(&g, NodeId(u))
+                .unwrap()
+                .iter()
+                .map(|s| s.to_bits())
+                .collect();
+            assert_eq!(got, want, "source {u}");
+        }
         std::fs::remove_dir_all(&root).ok();
     }
 

@@ -58,9 +58,12 @@
 //!
 //! Newline-delimited UTF-8 text over TCP or a Unix-domain socket; one
 //! request line yields exactly one response line. Node ids are decimal
-//! `u32`. Scores are printed with Rust's shortest round-trip `f64`
-//! formatting, so parsing a score back yields the **bit-identical**
-//! float the server computed.
+//! `u32`. **Each score is byte-identical to Rust's `{}` Display of the
+//! computed `f64`**: the shortest decimal that round-trips, written
+//! without an exponent. Parsing a score back yields the
+//! **bit-identical** float the server computed. The server produces
+//! that text with its own shortest-round-trip writer, which skips the
+//! `fmt` machinery but is held to std's bytes by differential tests.
 //!
 //! | request | response |
 //! |---|---|
@@ -110,6 +113,12 @@
 //!   worker workspaces into `sling_query_stage_{entry_fetch,restore,
 //!   merge,propagate}_ns` histograms, alongside the process-wide kernel
 //!   counters (`sling_kernel_*_total`) from [`sling_core::obs::KERNEL`].
+//! * **Request phases** — `sling_request_phase_encode_ns` (per-worker
+//!   sharded) times writing the response line of the score-list verbs
+//!   `SOURCE`, `TOPK` and `BATCH`. It is not part of
+//!   `sling_server_request_ns`, which stops when the kernel returns.
+//!   `PAIR` is not timed: its one score costs about as much to encode
+//!   as the two clock reads would.
 //! * **Lifecycle** — `sling_lifecycle_*_total` (publish / promote / GC /
 //!   warm-up) and the swap-slot family (`sling_index_epoch`,
 //!   `sling_index_swaps_total`, `sling_index_reload_failures_total`), so
@@ -188,6 +197,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod client;
+mod float;
 pub mod latency;
 pub mod protocol;
 mod recorder;

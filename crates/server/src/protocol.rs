@@ -1,13 +1,16 @@
 //! Request parsing and response formatting for the wire protocol
 //! (see the crate docs for the full grammar).
 //!
-//! Scores travel as text produced by Rust's `{}` formatting of `f64` —
-//! the shortest decimal that round-trips — so `parse::<f64>()` on the
-//! client recovers the bit-identical value the server computed. That is
-//! what lets the equivalence tests compare served scores against the
-//! serial in-memory path with `==` rather than a tolerance.
+//! Scores travel as text byte-identical to Rust's `{}` formatting of
+//! `f64` — the shortest decimal that round-trips — so `parse::<f64>()`
+//! on the client recovers the bit-identical value the server computed.
+//! That is what lets the equivalence tests compare served scores
+//! against the serial in-memory path with `==` rather than a tolerance.
 
 use std::fmt::Write as _;
+use std::io::Write as _;
+
+use crate::float::write_f64;
 
 /// Upper bound on one request line; longer lines are rejected before
 /// parsing so a misbehaving client cannot balloon server memory.
@@ -161,10 +164,15 @@ fn parse_node(tok: Option<&str>, name: &str) -> Result<u32, String> {
 }
 
 /// Append a score list to a response line: `<count> <s0> <s1> ..`.
-pub(crate) fn write_scores(out: &mut String, scores: &[f64]) {
+///
+/// Each score is byte-identical to Rust's `{}` Display of the computed
+/// `f64` (see [`write_f64`]), so a client that parses it recovers the
+/// same bits and a client that hashes the line sees the same bytes.
+pub(crate) fn write_scores(out: &mut Vec<u8>, scores: &[f64]) {
     let _ = write!(out, "{}", scores.len());
-    for s in scores {
-        let _ = write!(out, " {s}");
+    for &s in scores {
+        out.push(b' ');
+        write_f64(out, s);
     }
 }
 
@@ -273,14 +281,18 @@ mod tests {
 
     #[test]
     fn score_text_roundtrips_bit_identically() {
-        let mut line = String::new();
+        let mut line = Vec::new();
         let scores = [0.1 + 0.2, 1.0 / 3.0, f64::MIN_POSITIVE, 0.0, 1.0];
         write_scores(&mut line, &scores);
+        let line = String::from_utf8(line).unwrap();
         let mut toks = line.split_ascii_whitespace();
         assert_eq!(toks.next().unwrap(), "5");
         for want in scores {
-            let got: f64 = toks.next().unwrap().parse().unwrap();
+            let tok = toks.next().unwrap();
+            assert_eq!(tok, format!("{want}"));
+            let got: f64 = tok.parse().unwrap();
             assert_eq!(got.to_bits(), want.to_bits());
         }
+        assert_eq!(toks.next(), None);
     }
 }

@@ -67,6 +67,7 @@ use sling_core::{
 };
 use sling_graph::{DiGraph, NodeId};
 
+use crate::float::write_f64;
 use crate::latency::{merge_report, LatencyReport};
 use crate::protocol::{write_scores, Request, MAX_LINE_BYTES};
 use crate::recorder::{writer_loop, TraceRecorder, MAX_TRACE_BATCH};
@@ -852,6 +853,10 @@ struct StageShards {
     restore: Arc<Histogram>,
     merge: Arc<Histogram>,
     propagate: Arc<Histogram>,
+    /// Response encoding of the score-list verbs (`SOURCE`, `TOPK`,
+    /// `BATCH`); `PAIR`'s one score costs about as much as the clock
+    /// reads that would time it.
+    encode: Arc<Histogram>,
 }
 
 /// Shared, non-generic server state: the per-worker event loops and the
@@ -1273,6 +1278,10 @@ where
                 "sling_query_stage_propagate_ns",
                 "per-query frontier propagation time",
             ),
+            encode: metrics.histogram(
+                "sling_request_phase_encode_ns",
+                "score-list response encoding time (SOURCE, TOPK, BATCH)",
+            ),
         })
         .collect();
     let requests_shed = metrics.counter(
@@ -1568,7 +1577,7 @@ struct WorkerCtx<S: HpStore> {
     ss: SingleSourceWorkspace,
     scores: Vec<f64>,
     batch: Vec<f64>,
-    response: String,
+    response: Vec<u8>,
     /// The generation currently being served, held only while the
     /// worker is actively serving (`None` while parked on the queue, so
     /// an idle worker never pins a retired generation's engine in
@@ -1612,7 +1621,7 @@ fn worker_loop<S: HpStore>(reloadable: &ReloadableEngine<S>, control: &Control, 
         ss: SingleSourceWorkspace::new(),
         scores: Vec::new(),
         batch: Vec::new(),
-        response: String::new(),
+        response: Vec::new(),
         gen: None,
     };
     // Serving always traces: the stage histograms and slow-query log
@@ -1985,13 +1994,14 @@ fn serve_turn<S: HpStore>(
         };
         ctx.response.clear();
         let action = if nl > MAX_LINE_BYTES {
-            ctx.response.push_str("ERR request line too long");
+            ctx.response.extend_from_slice(b"ERR request line too long");
             Action::Continue
         } else {
             let line = &conn.inbuf[consumed..consumed + nl];
             match std::str::from_utf8(line) {
                 Err(_) => {
-                    ctx.response.push_str("ERR request is not valid UTF-8");
+                    ctx.response
+                        .extend_from_slice(b"ERR request is not valid UTF-8");
                     Action::Continue
                 }
                 Ok(text) => match Request::parse(text.trim_end_matches(['\n', '\r'])) {
@@ -2002,7 +2012,7 @@ fn serve_turn<S: HpStore>(
                     Ok(req) => match admission_error(control, worker, conn, &req) {
                         Some(msg) => {
                             record_admission_outcome(reloadable, control, &req, msg);
-                            ctx.response.push_str(msg);
+                            ctx.response.extend_from_slice(msg.as_bytes());
                             Action::Continue
                         }
                         None => handle_request(reloadable, control, worker, req, ctx),
@@ -2014,7 +2024,7 @@ fn serve_turn<S: HpStore>(
         served_this_turn += 1;
         // Coalesce: every response of this turn accumulates here and is
         // flushed below with one write.
-        conn.outbuf.extend_from_slice(ctx.response.as_bytes());
+        conn.outbuf.extend_from_slice(&ctx.response);
         conn.outbuf.push(b'\n');
         match action {
             Action::Continue => {}
@@ -2209,7 +2219,7 @@ fn write_query_error<S: HpStore>(
     reloadable: &ReloadableEngine<S>,
     control: &Control,
     gen: &EngineGeneration<S>,
-    out: &mut String,
+    out: &mut Vec<u8>,
     err: SlingError,
     verb: &'static str,
     tkey: TraceKey,
@@ -2283,11 +2293,11 @@ fn observe_query<S: HpStore>(
 /// appends the response's final `\n`, so the payload's trailing newline
 /// is emitted by it — `<bytes>` always counts a newline-terminated
 /// payload.
-fn write_framed(out: &mut String, payload: &str) {
+fn write_framed(out: &mut Vec<u8>, payload: &str) {
     let body = payload.strip_suffix('\n').unwrap_or(payload);
     let _ = write!(out, "OK {}", body.len() + 1);
-    out.push('\n');
-    out.push_str(body);
+    out.push(b'\n');
+    out.extend_from_slice(body.as_bytes());
 }
 
 fn handle_request<S: HpStore>(
@@ -2303,13 +2313,13 @@ fn handle_request<S: HpStore>(
     let gen = ctx.generation(reloadable);
     let out = &mut ctx.response;
     match req {
-        Request::Ping => out.push_str("OK pong"),
+        Request::Ping => out.extend_from_slice(b"OK pong"),
         Request::Quit => {
-            out.push_str("OK bye");
+            out.extend_from_slice(b"OK bye");
             return Action::Close;
         }
         Request::Shutdown => {
-            out.push_str("OK shutting-down");
+            out.extend_from_slice(b"OK shutting-down");
             return Action::Shutdown;
         }
         Request::Reload { force } => {
@@ -2355,7 +2365,7 @@ fn handle_request<S: HpStore>(
                 control.requests_deadline.get()
             );
             match &control.recorder {
-                None => out.push_str(" trace=off"),
+                None => out.extend_from_slice(b" trace=off"),
                 Some(rec) => {
                     let (records, dropped, bytes) = rec.counters();
                     let _ = write!(
@@ -2372,10 +2382,10 @@ fn handle_request<S: HpStore>(
                  latency_p999_us={:.1}",
                 lat.count, lat.p50_us, lat.p99_us, lat.p999_us
             );
-            out.push_str(" per_worker=");
+            out.extend_from_slice(b" per_worker=");
             for (i, c) in control.served.iter().enumerate() {
                 if i > 0 {
-                    out.push(',');
+                    out.push(b',');
                 }
                 let _ = write!(out, "{}", c.get());
             }
@@ -2392,22 +2402,22 @@ fn handle_request<S: HpStore>(
                 open.saturating_sub(active),
                 control.rejected_connections.load(Ordering::Relaxed)
             );
-            out.push_str(" evloop_wakeups=");
+            out.extend_from_slice(b" evloop_wakeups=");
             for (i, w) in control.workers.iter().enumerate() {
                 if i > 0 {
-                    out.push(',');
+                    out.push(b',');
                 }
                 let _ = write!(out, "{}", w.wakeups.load(Ordering::Relaxed));
             }
-            out.push_str(" evloop_turns=");
+            out.extend_from_slice(b" evloop_turns=");
             for (i, w) in control.workers.iter().enumerate() {
                 if i > 0 {
-                    out.push(',');
+                    out.push(b',');
                 }
                 let _ = write!(out, "{}", w.turns.load(Ordering::Relaxed));
             }
             match &control.cache {
-                None => out.push_str(" cache=off"),
+                None => out.extend_from_slice(b" cache=off"),
                 Some(cache) => {
                     let s = cache.stats();
                     let _ = write!(
@@ -2440,7 +2450,7 @@ fn handle_request<S: HpStore>(
             write_framed(out, &payload);
         }
         Request::Trace { from, max } => match &control.recorder {
-            None => out.push_str("ERR trace recording is not enabled (serve --record)"),
+            None => out.extend_from_slice(b"ERR trace recording is not enabled (serve --record)"),
             Some(rec) => {
                 let chunk = rec.read_from(from, max.min(MAX_TRACE_BATCH));
                 let mut payload = format!(
@@ -2473,7 +2483,8 @@ fn handle_request<S: HpStore>(
                         stages,
                         || format!("{u},{v}"),
                     );
-                    let _ = write!(out, "OK {s}");
+                    out.extend_from_slice(b"OK ");
+                    write_f64(out, s);
                 }
                 Err(e) => write_query_error(
                     reloadable,
@@ -2507,8 +2518,10 @@ fn handle_request<S: HpStore>(
                         stages,
                         || u.to_string(),
                     );
-                    out.push_str("OK ");
+                    let t_encode = std::time::Instant::now();
+                    out.extend_from_slice(b"OK ");
                     write_scores(out, &ctx.scores);
+                    control.stages[worker].encode.record(t_encode.elapsed());
                 }
                 Err(e) => write_query_error(
                     reloadable,
@@ -2542,10 +2555,13 @@ fn handle_request<S: HpStore>(
                         stages,
                         || format!("{u}:{k}"),
                     );
+                    let t_encode = std::time::Instant::now();
                     let _ = write!(out, "OK {}", top.len());
                     for (node, score) in top {
-                        let _ = write!(out, " {}:{score}", node.0);
+                        let _ = write!(out, " {}:", node.0);
+                        write_f64(out, score);
                     }
+                    control.stages[worker].encode.record(t_encode.elapsed());
                 }
                 Err(e) => write_query_error(
                     reloadable,
@@ -2594,8 +2610,10 @@ fn handle_request<S: HpStore>(
                     }
                 }
             }
-            out.push_str("OK ");
+            let t_encode = std::time::Instant::now();
+            out.extend_from_slice(b"OK ");
             write_scores(out, &ctx.batch);
+            control.stages[worker].encode.record(t_encode.elapsed());
         }
     }
     Action::Continue
