@@ -14,8 +14,8 @@
 //! * [`LruList`] *(crate-internal)* — an open-hash map over an intrusive
 //!   doubly-linked LRU list, built on the workspace's [`FxHashMap`]; all
 //!   operations `O(1)` expected, no external LRU crate. It backs every
-//!   LRU in the crate: the result cache below and the
-//!   [`crate::store::RestoreCache`] shards.
+//!   LRU in the crate: the result cache below and the shards of the
+//!   engine's §5.2 restore cache (`store::RestoreCache`).
 //! * [`ShardedResultCache`] — a `Sync` global result cache: N
 //!   power-of-two shards, each an independently locked [`LruList`], with
 //!   [`AtomicCacheStats`] counters that stay exact under concurrency.
@@ -125,8 +125,8 @@ struct Slot<K, V> {
 /// Open-hash map over an intrusive doubly-linked LRU list.
 ///
 /// The one LRU implementation in the crate: each [`ShardedResultCache`]
-/// shard keys it by canonical pair, each [`crate::store::RestoreCache`]
-/// shard by node.
+/// shard keys it by canonical pair, each `store::RestoreCache` shard by
+/// node.
 /// Slots are recycled through a free list, links are `u32` indices into
 /// one slab — no per-entry allocation, `O(1)` expected `get` / `insert` /
 /// `pop_lru`.
@@ -269,9 +269,9 @@ impl<K: Copy + Eq + Hash, V: Default> LruList<K, V> {
     }
 }
 
-/// Cache admission policy for the LRU-backed caches
-/// ([`ShardedResultCache`] and [`crate::store::RestoreCache`], both
-/// sharing [`LruList`]).
+/// Admission policy of a [`ShardedResultCache`]. (The engine's restore
+/// cache is plain LRU: a swap drops it with its engine, and no measured
+/// workload needs more.)
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Admission {
     /// Plain LRU: every insert is admitted, evicting the tail.
@@ -430,13 +430,6 @@ pub(crate) fn pair_hash(key: (u32, u32)) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-/// Hash a node-id key for the frequency sketch (the node-keyed restore
-/// list cache).
-#[inline]
-pub(crate) fn node_hash(v: u32) -> u64 {
-    pair_hash((0, v))
 }
 
 /// Canonical symmetric pair key: SimRank is symmetric, so `{u, v}` and
@@ -605,15 +598,6 @@ impl ShardedResultCache {
     pub fn set_epoch(&self, epoch: u64) {
         self.epoch.store(epoch, Ordering::Release);
         self.reset_sketches();
-    }
-
-    /// Bump the generation epoch by one, invalidating all resident
-    /// entries (and resetting the admission sketches); returns the new
-    /// epoch.
-    pub fn advance_epoch(&self) -> u64 {
-        let epoch = self.epoch.fetch_add(1, Ordering::AcqRel) + 1;
-        self.reset_sketches();
-        epoch
     }
 
     fn reset_sketches(&self) {
@@ -1074,7 +1058,7 @@ mod tests {
         // A generation swap advances the epoch: both entries must now
         // read as misses (and be dropped on touch), score and negative
         // verdict alike.
-        assert_eq!(cache.advance_epoch(), 1);
+        cache.set_epoch(1);
         assert_eq!(cache.epoch(), 1);
         assert_eq!(cache.lookup(NodeId(0), NodeId(1)), None);
         assert_eq!(cache.lookup(NodeId(0), NodeId(99)), None);
@@ -1340,7 +1324,7 @@ mod tests {
         // Swap generations: resident entries invalidate lazily, the
         // sketch resets eagerly, and new traffic is admitted freely
         // (candidate 0 >= victim 0).
-        cache.advance_epoch();
+        cache.set_epoch(1);
         for i in 0..16u32 {
             cache.insert(NodeId(500 + i), NodeId(600 + i), 0.75);
         }

@@ -263,11 +263,6 @@ pub(crate) fn resolve_restored<S: HpStore>(
         if let Some(hit) = cache.get(v) {
             return Ok(RestoredList::Shared(hit));
         }
-        // Capture the epoch *before* restoring: if the cache is
-        // invalidated while the restore runs, the tagged insert below is
-        // dropped rather than admitting a list computed against retired
-        // state.
-        let epoch = cache.epoch();
         effective_entries_into(e, graph, v, ws, which)?;
         // Move, don't copy: the kernels read the returned Arc, never the
         // workspace buffer, and the next query clears the buffer before
@@ -278,7 +273,7 @@ pub(crate) fn resolve_restored<S: HpStore>(
             Buf::B => &mut ws.buf_b,
         };
         let list = std::sync::Arc::new(std::mem::take(buf));
-        cache.insert_tagged(v, std::sync::Arc::clone(&list), epoch);
+        cache.insert(v, std::sync::Arc::clone(&list));
         return Ok(RestoredList::Shared(list));
     }
     effective_entries_into(e, graph, v, ws, which)?;

@@ -117,8 +117,9 @@
 //! nodes on cache-less paths stream a **two-segment** view: the
 //! recomputed steps ≤ 2 head over the borrowed steps ≥ 3 tail, so the
 //! bulk of a hub's list
-//! is never copied. Engines carry a sharded [`store::RestoreCache`]
-//! and resolve restoring nodes to memoized full lists instead — a warm
+//! is never copied. Engines carry a sharded restore cache (an
+//! entry-budgeted LRU of `Arc`-shared restored lists) and resolve
+//! restoring nodes to memoized full lists instead — a warm
 //! hub is one lookup and a contiguous merge with zero backend traffic.
 //! The single-pair
 //! merge dispatches on list-length skew: ≥ 8× apart (hub-versus-leaf
@@ -173,13 +174,14 @@
 //! safe: at every instant `CURRENT` names a valid generation), retired
 //! generations are GC'd on a retention policy, and
 //! [`lifecycle::warm_engine`] primes a freshly opened generation
-//! (prefetch + hot-key-log replay) before it takes traffic. Both result
-//! caches are **epoch-tagged** ([`ShardedResultCache`] and the
-//! [`store::RestoreCache`]) so a generation swap invalidates them in
-//! O(1) — a hit computed against a retired index is never served — and
-//! `sling-server` holds its engine in an epoch-tagged reloadable slot
-//! that hot-swaps generations under live traffic (`RELOAD`, or
-//! `serve --index-root <dir> --watch`). [`dynamic::DynamicSling`]
+//! (prefetch + hot-key-log replay) before it takes traffic. The
+//! [`ShardedResultCache`] is **epoch-tagged**, so a generation swap
+//! invalidates it in O(1) — a hit computed against a retired index is
+//! never served. The engine's restore cache needs no invalidation: it
+//! lives inside the [`store::SharedEngine`] and is dropped with the
+//! engine a swap replaces. `sling-server` holds its engine in an
+//! epoch-tagged reloadable slot that hot-swaps generations under live
+//! traffic (`RELOAD`, or `serve --index-root <dir> --watch`). [`dynamic::DynamicSling`]
 //! rebuilds can publish-and-promote into the store
 //! ([`dynamic::DynamicSling::rebuild_into`]) instead of replacing the
 //! engine in place, closing the loop from graph churn to zero-downtime
@@ -192,7 +194,7 @@
 //! gauges, and log-bucketed histograms (per-worker shards merged on
 //! snapshot; stable Prometheus-text and fixed-key-order JSON
 //! renderers), process-wide kernel counters ([`obs::KERNEL`]:
-//! RestoreCache hit/miss, block decodes, backend bytes read,
+//! restore cache hit/miss, block decodes, backend bytes read,
 //! gallop-vs-linear merge dispatch, frontier words swept) and
 //! lifecycle counters ([`obs::LIFECYCLE`]: publishes, promotions, GC,
 //! warm-ups), and a zero-cost-when-disabled [`obs::QueryTrace`] inside
@@ -269,8 +271,6 @@ pub use hp::HpEntry;
 pub use index::{QueryWorkspace, SlingIndex};
 pub use lifecycle::{GenId, GenerationStore, Manifest};
 pub use obs::{MetricsRegistry, QueryTrace, SlowQueryLog, SlowQueryRecord, StageNanos};
-pub use store::{
-    CompressedMmapArena, EntryAccess, HpStore, MmapHpArena, RestoreCache, SharedEngine,
-};
+pub use store::{CompressedMmapArena, EntryAccess, HpStore, MmapHpArena, SharedEngine};
 pub use topk::select_top_k;
 pub use walk::WalkEngine;

@@ -72,7 +72,7 @@
 //! Before a generation goes live, [`warm_engine`] stages its pages
 //! (advisory `madvise(WILLNEED)` via [`crate::store::HpStore::prefetch`]
 //! on the mmap backends) and replays the store's hot-key log so the
-//! §5.2 [`crate::store::RestoreCache`] (and, on small compressed
+//! engine's §5.2 restore cache (and, on small compressed
 //! payloads, the resident decoded blocks) are primed — the first
 //! post-swap requests hit warm
 //! caches instead of paying cold-start latency under production
@@ -94,8 +94,9 @@
 //! new requests pick up the promoted one, and the shared result cache's
 //! epoch advances with the swap so a hit computed against a retired
 //! index can never be served (see `ReloadableEngine` there and the
-//! epoch-tagged [`crate::ShardedResultCache`] /
-//! [`crate::store::RestoreCache`] here). [`crate::dynamic::DynamicSling`]
+//! epoch-tagged [`crate::ShardedResultCache`] here); the engine's
+//! restore cache retires with the engine it belongs to.
+//! [`crate::dynamic::DynamicSling`]
 //! closes the loop: its rebuilds can publish into a [`GenerationStore`]
 //! (and promote) instead of replacing the engine in place.
 
@@ -350,10 +351,12 @@ mod tests {
         assert_eq!(keys, vec![(0, 1), (3, 9999), (0, 2), (0, 5)]);
 
         let engine = crate::store::SharedEngine::from(idx.clone());
+        let cold_bytes = engine.resident_bytes();
         let primed = warm_engine(&engine, &g, &keys);
         assert_eq!(primed, 3, "out-of-range pair must be skipped, not fail");
-        // Warm-up populated the restore cache: hub restores are memoized.
-        assert!(engine.restore_cache().resident_bytes() > 0);
+        // Warm-up populated the restore cache (part of the engine's
+        // resident total): hub restores are memoized.
+        assert!(engine.resident_bytes() > cold_bytes);
         // And of course warmed answers stay bit-identical.
         assert_eq!(
             engine.single_pair(&g, NodeId(0), NodeId(1)).unwrap(),

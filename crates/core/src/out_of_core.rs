@@ -395,7 +395,7 @@ impl DiskHpStore {
     /// `posix_fadvise(WILLNEED)` the byte ranges holding `H(v)` — the
     /// three section ranges of a v1 payload, or the encoded bytes of the
     /// covering v2 blocks — so a cold query's positioned reads hit
-    /// staged pages instead of paying one synchronous disk round-trip
+    /// read-ahead pages instead of paying one synchronous disk round-trip
     /// per `pread`. Advisory only: failures and out-of-range ids are
     /// ignored, and correctness never depends on it (a no-op off Linux).
     pub fn prefetch_entries(&self, v: NodeId) {

@@ -47,7 +47,6 @@ impl SingleSourceWorkspace {
     /// the retention threshold after a hub-sized query.
     pub fn trim_excess(&mut self) {
         self.query.trim_excess();
-        self.dense.trim_excess();
     }
 
     /// Enable or disable per-stage query tracing (see
@@ -154,10 +153,6 @@ pub(crate) struct DenseScores {
     pub(crate) next: Vec<f64>,
     front_cur: Frontier,
     front_next: Frontier,
-    /// Staging buffer of `(destination, increment)` pairs for the tiled
-    /// propagation rounds (see [`DenseScores::propagate`]); capacity is
-    /// bounded by [`DenseScores::PROPAGATE_TILE`].
-    staged: Vec<(u32, f64)>,
     /// `inv_deg[d] = 1/d` for small `d` — graph-independent, so it can
     /// never go stale across graphs. Turns the per-edge division of the
     /// propagation inner loop into a multiply-accumulate.
@@ -202,39 +197,13 @@ impl DenseScores {
         }
     }
 
-    /// Contributions staged per flush of the tiled propagation: a ~24 KiB
-    /// tile of `(destination, increment)` pairs, small enough to stay in
-    /// L1/L2 while the scatter into `next` walks it.
-    const PROPAGATE_TILE: usize = 2048;
-
-    /// Below this node count the dense `cur`/`next` arrays (≤ 1 MiB
-    /// combined) are cache-resident, so the scatter misses tiling exists
-    /// to hide never happen and the staging detour is pure overhead; the
-    /// round then runs the direct loop. Both sweeps are bit-identical
-    /// (pinned by `tiled_propagation_matches_direct_bitwise`), so the
-    /// dispatch is purely a performance choice.
-    const PROPAGATE_TILING_MIN_NODES: usize = 1 << 16;
-
     /// Run `rounds` forward-propagation rounds of Algorithm 6's inner
     /// loop: scores `≤ threshold` are pruned; a survivor `x` distributes
     /// `√c · ρ(x) / |I(y)|` to each out-neighbor `y`. The per-survivor
     /// scale `√c · ρ(x)` is hoisted and the division is a reciprocal
     /// multiply; the frontier walks in ascending node order via the
-    /// [`Frontier`] bitsets. Dispatches between the direct and the tiled
-    /// sweep on dense-array size
-    /// ([`DenseScores::PROPAGATE_TILING_MIN_NODES`]); the two produce
-    /// bit-identical scores and frontiers.
+    /// [`Frontier`] bitsets.
     pub(crate) fn propagate(&mut self, graph: &DiGraph, sqrt_c: f64, threshold: f64, rounds: u16) {
-        if self.cur.len() < Self::PROPAGATE_TILING_MIN_NODES {
-            self.propagate_direct(graph, sqrt_c, threshold, rounds);
-        } else {
-            self.propagate_tiled(graph, sqrt_c, threshold, rounds);
-        }
-    }
-
-    /// The untiled sweep: each contribution is scattered into `next` as
-    /// soon as it is generated. Fastest when `next` stays cache-resident.
-    fn propagate_direct(&mut self, graph: &DiGraph, sqrt_c: f64, threshold: f64, rounds: u16) {
         let mut swept = 0u64;
         for _ in 0..rounds {
             let (lo, hi) = (self.front_cur.lo, self.front_cur.hi);
@@ -271,70 +240,6 @@ impl DenseScores {
         KernelCounters::bump_by(&obs::KERNEL.frontier_words, swept);
     }
 
-    /// The **tiled** sweep: contributions are first *gathered* into the
-    /// staging buffer — a tight loop over the contiguous CSR neighbor run
-    /// touching only `graph` and the reciprocal table — and the random
-    /// *scatter* into the dense `next` array runs over one cache-resident
-    /// tile at a time ([`DenseScores::PROPAGATE_TILE`] pairs), so the
-    /// frontier sweep stops interleaving sequential neighbor reads with
-    /// dense-array misses. Staging order equals generation order and the
-    /// flush applies pairs in staging order, so the per-slot FP
-    /// accumulation order is exactly the direct loop's, and frontier
-    /// marking is order-free — the tiling is bit-invisible (pinned by
-    /// `tiled_propagation_matches_direct_bitwise`).
-    fn propagate_tiled(&mut self, graph: &DiGraph, sqrt_c: f64, threshold: f64, rounds: u16) {
-        let mut swept = 0u64;
-        for _ in 0..rounds {
-            debug_assert!(self.staged.is_empty());
-            let (lo, hi) = (self.front_cur.lo, self.front_cur.hi);
-            if lo > hi {
-                break; // empty frontier: remaining rounds are no-ops
-            }
-            swept += (hi - lo + 1) as u64;
-            self.front_cur.clear_marks();
-            for wi in lo..=hi {
-                let mut w = self.front_cur.bits[wi];
-                if w == 0 {
-                    continue;
-                }
-                self.front_cur.bits[wi] = 0;
-                while w != 0 {
-                    let x = (wi << 6) | w.trailing_zeros() as usize;
-                    w &= w - 1;
-                    let val = self.cur[x];
-                    self.cur[x] = 0.0;
-                    if val <= threshold {
-                        continue;
-                    }
-                    let scale = sqrt_c * val;
-                    for &y in graph.out_neighbors(NodeId(x as u32)) {
-                        let inc = scale * self.inv_in_degree(graph, y);
-                        self.staged.push((y.0, inc));
-                        if self.staged.len() == Self::PROPAGATE_TILE {
-                            self.flush_staged();
-                        }
-                    }
-                }
-            }
-            self.flush_staged();
-            std::mem::swap(&mut self.cur, &mut self.next);
-            std::mem::swap(&mut self.front_cur, &mut self.front_next);
-        }
-        KernelCounters::bump_by(&obs::KERNEL.frontier_words, swept);
-    }
-
-    /// Scatter the staged `(destination, increment)` tile into `next`,
-    /// in staging order (bit-identical accumulation — see
-    /// [`DenseScores::propagate`]).
-    #[inline]
-    fn flush_staged(&mut self) {
-        for &(y, inc) in &self.staged {
-            self.next[y as usize] += inc;
-            self.front_next.set(y as usize);
-        }
-        self.staged.clear();
-    }
-
     /// Accumulate the surviving temporary scores into `out` and restore
     /// the all-zero buffer invariant.
     pub(crate) fn drain_into(&mut self, out: &mut [f64]) {
@@ -361,11 +266,6 @@ impl DenseScores {
     pub(crate) fn reset(&mut self) {
         self.front_cur.clear_tracked(&mut self.cur);
         self.front_next.clear_tracked(&mut self.next);
-    }
-
-    fn trim_excess(&mut self) {
-        // The frontier bitsets are graph-sized (`n/64` words), like the
-        // dense arrays they track — nothing query-sized to shrink.
     }
 }
 
@@ -726,47 +626,6 @@ mod tests {
         }
         // Scores descending.
         assert!(top.windows(2).all(|w| w[0].1 >= w[1].1));
-    }
-
-    /// The dispatch between the direct and the tiled sweep must be
-    /// unobservable: identical frontier bitsets and bit-identical dense
-    /// scores, so `propagate`'s size gate is purely a performance choice.
-    #[test]
-    fn tiled_propagation_matches_direct_bitwise() {
-        use sling_graph::generators::barabasi_albert;
-        // Big enough that one round stages more than PROPAGATE_TILE
-        // contributions, forcing at least one mid-frontier flush.
-        let g = barabasi_albert(900, 4, 17).unwrap();
-        let n = g.num_nodes();
-        let sqrt_c = C.sqrt();
-        for (threshold, rounds) in [(0.0, 1u16), (1e-4, 3), (1e-2, 5)] {
-            let mut tiled = DenseScores::default();
-            let mut direct = DenseScores::default();
-            tiled.ensure(n);
-            direct.ensure(n);
-            // Seed a spread of nodes with assorted magnitudes, including
-            // some the threshold prunes.
-            for k in 0..n {
-                if k % 3 == 0 {
-                    tiled.seed(k, 1.0 / (k as f64 + 2.0));
-                    direct.seed(k, 1.0 / (k as f64 + 2.0));
-                }
-            }
-            // Call the sweeps directly: the fixture sits below the size
-            // gate, so `propagate` itself would run both operands
-            // through the direct path and the pin would be vacuous.
-            tiled.propagate_tiled(&g, sqrt_c, threshold, rounds);
-            direct.propagate_direct(&g, sqrt_c, threshold, rounds);
-            // Identical frontier (it feeds the next round's iteration)
-            // and bit-identical dense scores.
-            assert_eq!(
-                tiled.front_cur.bits, direct.front_cur.bits,
-                "threshold {threshold}"
-            );
-            let tiled_bits: Vec<u64> = tiled.cur.iter().map(|v| v.to_bits()).collect();
-            let direct_bits: Vec<u64> = direct.cur.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(tiled_bits, direct_bits, "threshold {threshold}");
-        }
     }
 
     #[test]

@@ -37,7 +37,7 @@ use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
 
-use crate::cache::{node_hash, Admission, FrequencySketch, LruList};
+use crate::cache::LruList;
 use crate::codec::block::{
     max_node, values_all_probabilities, DecodedBlock, MAX_PROBABILITY, SWEEP_LANES,
 };
@@ -694,8 +694,9 @@ impl<S: HpStore> EngineRef<'_, S> {
     /// 1–2 at build time, so an unmarked reduced node needs nothing but
     /// a recomputed steps ≤ 2 head spliced in front of its untouched
     /// steps ≥ 3 tail ([`RestoreKind::TwoHopOnly`]) — the two-segment
-    /// streaming view, used on cache-less engines. Engines with a
-    /// [`RestoreCache`] resolve both restoring kinds to full lists
+    /// streaming view, used on cache-less engines (the bare
+    /// [`SlingIndex`] API). Engines with a [`RestoreCache`] (every
+    /// [`SharedEngine`]) resolve both restoring kinds to full lists
     /// instead (every cache entry is a full effective list): a warm hub
     /// is then one lookup and a contiguous merge with zero backend
     /// traffic, which beats re-walking the stored tail per query.
@@ -1055,30 +1056,15 @@ pub(crate) fn validate_raw_le(
 /// borrow the cached list exactly like a backend-owned run. Misses
 /// compute outside the lock; results are bit-identical by construction
 /// (the cached list *is* the computed list).
-pub struct RestoreCache {
+pub(crate) struct RestoreCache {
     shards: Box<[Mutex<RestoreShard>]>,
     per_shard_entries: usize,
-    /// Generation epoch the cached lists were restored under. Lists
-    /// tagged with any other epoch read as misses (and are dropped on
-    /// touch), so a serving layer that rebuilds the graph/index behind a
-    /// live engine can invalidate every memoized restore in O(1) —
-    /// without it, nothing would invalidate a restored hub list when the
-    /// engine underneath the cache changes.
-    epoch: std::sync::atomic::AtomicU64,
-    /// Inserts refused by frequency-sketch admission (always 0 under
-    /// the default LRU policy).
-    admission_rejects: std::sync::atomic::AtomicU64,
 }
 
 #[derive(Default)]
 struct RestoreShard {
-    lists: LruList<u32, (u64, Arc<Vec<HpEntry>>)>,
+    lists: LruList<u32, Arc<Vec<HpEntry>>>,
     entries: usize,
-    /// Node-keyed frequency sketch advising eviction under
-    /// [`Admission::TinyLfu`]; a defaulted sketch (the LRU policy) is a
-    /// no-op. Same lock as the lists, so admission adds no
-    /// synchronization.
-    sketch: FrequencySketch,
 }
 
 impl RestoreCache {
@@ -1088,39 +1074,13 @@ impl RestoreCache {
     /// Default total entry budget: ~64K entries ≈ 1.5 MiB of restored
     /// lists per engine — enough for the hot hubs of a skewed workload,
     /// bounded for long-lived servers.
-    pub const DEFAULT_TOTAL_ENTRIES: usize = 1 << 16;
+    const DEFAULT_TOTAL_ENTRIES: usize = 1 << 16;
 
     pub(crate) fn new() -> Self {
         RestoreCache {
             shards: (0..Self::SHARDS).map(|_| Mutex::default()).collect(),
             per_shard_entries: (Self::DEFAULT_TOTAL_ENTRIES / Self::SHARDS).max(1),
-            epoch: std::sync::atomic::AtomicU64::new(0),
-            admission_rejects: std::sync::atomic::AtomicU64::new(0),
         }
-    }
-
-    /// Switch the admission policy. [`Admission::TinyLfu`] installs a
-    /// node-keyed frequency sketch per shard (sized for the shard's
-    /// entry budget at typical hub list lengths); [`Admission::Lru`]
-    /// removes it. Resident lists are kept either way.
-    pub fn set_admission(&self, admission: Admission) {
-        for shard in self.shards.iter() {
-            let mut shard = shard.lock();
-            shard.sketch = match admission {
-                Admission::Lru => FrequencySketch::default(),
-                Admission::TinyLfu => FrequencySketch::with_capacity(
-                    // Budget is in entries; lists average tens of
-                    // entries, so track ~1/16th as many distinct nodes.
-                    (self.per_shard_entries / 16).max(16),
-                ),
-            };
-        }
-    }
-
-    /// Inserts refused by frequency-sketch admission.
-    pub fn admission_rejects(&self) -> u64 {
-        self.admission_rejects
-            .load(std::sync::atomic::Ordering::Relaxed)
     }
 
     #[inline]
@@ -1128,52 +1088,9 @@ impl RestoreCache {
         &self.shards[(v.0 as usize) & (Self::SHARDS - 1)]
     }
 
-    /// The current generation epoch (see [`RestoreCache::advance_epoch`]).
-    pub fn epoch(&self) -> u64 {
-        self.epoch.load(std::sync::atomic::Ordering::Acquire)
-    }
-
-    /// Bump the generation epoch, lazily invalidating every cached
-    /// list; returns the new epoch. Stale lists are dropped on touch;
-    /// sketched popularity is reset eagerly — frequency measured
-    /// against the retired index must not bias admission on the new
-    /// one.
-    pub fn advance_epoch(&self) -> u64 {
-        let epoch = self.epoch.fetch_add(1, std::sync::atomic::Ordering::AcqRel) + 1;
-        for shard in self.shards.iter() {
-            shard.lock().sketch.clear();
-        }
-        epoch
-    }
-
-    /// Drop every cached list immediately (the eager sibling of
-    /// [`RestoreCache::advance_epoch`]; counters and budget are kept,
-    /// sketched popularity is forgotten).
-    pub fn clear(&self) {
-        for shard in self.shards.iter() {
-            let mut shard = shard.lock();
-            shard.lists.clear();
-            shard.entries = 0;
-            shard.sketch.clear();
-        }
-    }
-
-    /// Cached restored list of `v`, if resident and from the current
-    /// epoch; a stale list is dropped on touch.
+    /// Cached restored list of `v`, if resident.
     pub(crate) fn get(&self, v: NodeId) -> Option<Arc<Vec<HpEntry>>> {
-        let current = self.epoch();
-        let mut shard = self.shard(v).lock();
-        shard.sketch.increment(node_hash(v.0));
-        let hit = match shard.lists.get(&v.0) {
-            Some((epoch, list)) if *epoch == current => Some(Arc::clone(list)),
-            Some(_) => {
-                let (_, stale) = shard.lists.remove(&v.0).expect("entry just observed");
-                shard.entries -= stale.len();
-                None
-            }
-            None => None,
-        };
-        drop(shard);
+        let hit = self.shard(v).lock().lists.get(&v.0).map(Arc::clone);
         match hit.is_some() {
             true => KernelCounters::bump(&obs::KERNEL.restore_cache_hits),
             false => KernelCounters::bump(&obs::KERNEL.restore_cache_misses),
@@ -1181,54 +1098,27 @@ impl RestoreCache {
         hit
     }
 
-    /// Admit a list restored under generation `epoch`, evicting LRU
-    /// lists until it fits the shard's entry budget (an oversized list
-    /// is admitted alone — reuse is node-driven). A stale `epoch` — the engine was invalidated while
-    /// the restore ran — drops the insert instead of admitting a list
-    /// computed against retired state.
-    pub(crate) fn insert_tagged(&self, v: NodeId, list: Arc<Vec<HpEntry>>, epoch: u64) {
-        if epoch != self.epoch() {
+    /// Admit a restored list, evicting LRU lists until it fits the
+    /// shard's entry budget (an oversized list is admitted alone — reuse
+    /// is node-driven).
+    pub(crate) fn insert(&self, v: NodeId, list: Arc<Vec<HpEntry>>) {
+        let mut shard = self.shard(v).lock();
+        if shard.lists.get(&v.0).is_some() {
+            // A racing worker restored it first; keep theirs.
             return;
         }
-        let mut shard = self.shard(v).lock();
-        match shard.lists.get(&v.0) {
-            // A racing worker restored it first this epoch; keep theirs.
-            Some((live, _)) if *live == epoch => return,
-            Some(_) => {
-                let (_, stale) = shard.lists.remove(&v.0).expect("entry just observed");
-                shard.entries -= stale.len();
-            }
-            None => {}
-        }
         while shard.entries + list.len() > self.per_shard_entries {
-            // TinyLFU admission: refuse the insert unless the candidate
-            // node strictly out-earns the live LRU victim in sketched
-            // frequency (retired-epoch victims are dead weight and are
-            // never protected).
-            if shard.sketch.is_enabled() {
-                if let Some((&victim, victim_value)) = shard.lists.peek_lru() {
-                    if victim_value.0 == epoch
-                        && shard.sketch.estimate(node_hash(v.0))
-                            <= shard.sketch.estimate(node_hash(victim))
-                    {
-                        drop(shard);
-                        self.admission_rejects
-                            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        return;
-                    }
-                }
-            }
-            let Some((_, (_, old))) = shard.lists.pop_lru() else {
+            let Some((_, old)) = shard.lists.pop_lru() else {
                 break;
             };
             shard.entries -= old.len();
         }
         shard.entries += list.len();
-        shard.lists.insert(v.0, (epoch, list));
+        shard.lists.insert(v.0, list);
     }
 
     /// Estimated heap bytes of the cached lists.
-    pub fn resident_bytes(&self) -> usize {
+    pub(crate) fn resident_bytes(&self) -> usize {
         let entries: usize = self.shards.iter().map(|s| s.lock().entries).sum();
         entries * std::mem::size_of::<HpEntry>()
     }
@@ -1724,7 +1614,10 @@ impl HpStore for CompressedMmapArena {
 
 /// The query engine: a storage backend plus all query-side metadata
 /// (correction factors, §5.2 reduction bitmap, §5.3 marks) held **by
-/// value**, and a [`RestoreCache`] of restored effective lists.
+/// value**, and a cache of restored §5.2/§5.3 effective lists. The
+/// cache lives and dies with the engine: the index is immutable, so a
+/// cached list never goes stale, and a generation swap replaces the
+/// whole engine, cache included.
 ///
 /// Every backend opens into one: an in-memory [`SlingIndex`] converts
 /// with `From`, and [`SharedEngine::open_mmap`],
@@ -1861,18 +1754,6 @@ impl<S: HpStore> SharedEngine<S> {
     /// The backing store.
     pub fn store(&self) -> &S {
         &self.store
-    }
-
-    /// The engine's memo of restored §5.2/§5.3 effective lists. Exposed
-    /// so lifecycle layers can inspect residency and invalidate it
-    /// ([`RestoreCache::advance_epoch`] / [`RestoreCache::clear`]) when
-    /// the graph or index behind a live engine changes — the in-place
-    /// rebuild scenario. (The shipped generation-swap path replaces the
-    /// whole engine, restore cache included, so it never needs these
-    /// hooks; they exist for embedders that mutate state *behind* a
-    /// long-lived engine instead of republishing one.)
-    pub fn restore_cache(&self) -> &RestoreCache {
-        &self.restore
     }
 
     /// The configuration the index was built with.
@@ -2634,7 +2515,7 @@ mod tests {
         for i in 0..32u32 {
             let node = NodeId(i * RestoreCache::SHARDS as u32); // same shard
             let list = Arc::new(vec![HpEntry::new(0, NodeId(0), 1.0); list_len]);
-            cache.insert_tagged(node, list, cache.epoch());
+            cache.insert(node, list);
             let resident = cache.shards[0].lock().entries;
             assert!(resident <= per_shard, "{resident} > {per_shard}");
         }
@@ -2644,109 +2525,8 @@ mod tests {
             .is_some());
         // An oversized list is admitted alone.
         let huge = Arc::new(vec![HpEntry::new(0, NodeId(0), 1.0); per_shard * 2]);
-        cache.insert_tagged(NodeId(8), Arc::clone(&huge), cache.epoch());
+        cache.insert(NodeId(8), Arc::clone(&huge));
         assert!(cache.get(NodeId(8)).is_some());
-    }
-
-    #[test]
-    fn restore_cache_tinylfu_protects_hot_lists() {
-        let cache = RestoreCache::new();
-        cache.set_admission(crate::cache::Admission::TinyLfu);
-        let per_shard = cache.per_shard_entries;
-        let list_len = (per_shard / 2).max(1);
-        let shard_stride = RestoreCache::SHARDS as u32;
-        // Two hot hubs fill the shard; repeated gets build their
-        // sketched frequency.
-        let hot = [NodeId(0), NodeId(shard_stride)];
-        for &v in &hot {
-            let list = Arc::new(vec![HpEntry::new(0, NodeId(0), 1.0); list_len]);
-            cache.insert_tagged(v, list, cache.epoch());
-        }
-        for _ in 0..10 {
-            for &v in &hot {
-                assert!(cache.get(v).is_some());
-            }
-        }
-        // A one-touch cold sweep cannot displace them...
-        for i in 2..40u32 {
-            let v = NodeId(i * shard_stride);
-            assert!(cache.get(v).is_none());
-            let list = Arc::new(vec![HpEntry::new(0, NodeId(0), 1.0); list_len]);
-            cache.insert_tagged(v, list, cache.epoch());
-        }
-        for &v in &hot {
-            assert!(cache.get(v).is_some(), "{v:?} evicted by cold scan");
-        }
-        assert!(cache.admission_rejects() > 30);
-        // ...but after a generation swap the sketch resets and the
-        // stale residents are dead weight: new lists admit freely.
-        let epoch = cache.advance_epoch();
-        let v = NodeId(50 * shard_stride);
-        cache.insert_tagged(
-            v,
-            Arc::new(vec![HpEntry::new(0, NodeId(0), 1.0); list_len]),
-            epoch,
-        );
-        assert!(cache.get(v).is_some());
-    }
-
-    #[test]
-    fn restore_cache_epoch_and_clear_invalidate_lists() {
-        let cache = RestoreCache::new();
-        let list = Arc::new(vec![HpEntry::new(0, NodeId(0), 1.0); 4]);
-        cache.insert_tagged(NodeId(3), Arc::clone(&list), cache.epoch());
-        assert!(cache.get(NodeId(3)).is_some());
-        // Epoch bump: the stale list reads as a miss, is dropped on
-        // touch, and its entries leave the budget accounting.
-        assert_eq!(cache.advance_epoch(), 1);
-        assert!(cache.get(NodeId(3)).is_none());
-        assert_eq!(cache.resident_bytes(), 0);
-        // A stale-tagged insert (restore raced the invalidation) is
-        // dropped.
-        cache.insert_tagged(NodeId(3), Arc::clone(&list), 0);
-        assert!(cache.get(NodeId(3)).is_none());
-        // Fresh inserts under the new epoch work; clear() empties
-        // eagerly.
-        cache.insert_tagged(NodeId(3), Arc::clone(&list), 1);
-        assert!(cache.get(NodeId(3)).is_some());
-        cache.clear();
-        assert!(cache.get(NodeId(3)).is_none());
-        assert_eq!(cache.resident_bytes(), 0);
-    }
-
-    #[test]
-    fn shared_engine_restore_cache_invalidation_recomputes_bit_identically() {
-        let g = barabasi_albert(150, 3, 31).unwrap();
-        let config = cfg();
-        let idx = SlingIndex::build(&g, &config).unwrap();
-        assert!(idx.stats().reduced_nodes > 0, "fixture must reduce nodes");
-        let engine = SharedEngine::from(idx.clone());
-        let mut ws = QueryWorkspace::new();
-        let want = idx.single_pair(&g, NodeId(0), NodeId(1));
-        assert_eq!(
-            engine
-                .single_pair_with(&g, &mut ws, NodeId(0), NodeId(1))
-                .unwrap(),
-            want
-        );
-        assert!(engine.restore_cache().resident_bytes() > 0);
-        // Lifecycle-style invalidation on a live engine: queries keep
-        // answering bit-identically, through a repopulated cache.
-        engine.restore_cache().advance_epoch();
-        assert_eq!(
-            engine
-                .single_pair_with(&g, &mut ws, NodeId(0), NodeId(1))
-                .unwrap(),
-            want
-        );
-        engine.restore_cache().clear();
-        assert_eq!(engine.restore_cache().resident_bytes(), 0);
-        assert_eq!(
-            engine
-                .single_pair_with(&g, &mut ws, NodeId(0), NodeId(1))
-                .unwrap(),
-            want
-        );
     }
 
     #[test]
