@@ -13,7 +13,9 @@
 //! Two execution strategies are provided:
 //!
 //! * **PerSource** runs Algorithm 6 once per node — `O(n · m log² 1/ε)`
-//!   worst case but with tiny constants and `O(n)` transient memory.
+//!   worst case but with tiny constants and `O(n)` transient memory; each
+//!   row is read from the nodes the propagation touched, never scanned
+//!   over all `n`.
 //! * **InvertedLists** materializes the inverted HP lists `L(k, ℓ)` of §6
 //!   for *all* nodes at once and accumulates Eq. (13) per pair:
 //!   `s̃(u, v) = Σ_{ℓ,k} h̃⁽ℓ⁾(u,k) · d̃_k · h̃⁽ℓ⁾(v,k)`. Cost is
@@ -36,7 +38,7 @@ use sling_graph::{DiGraph, NodeId};
 
 use crate::error::SlingError;
 use crate::index::{effective_entries_into, Buf, QueryWorkspace, SlingIndex};
-use crate::single_source::{single_source_core, SingleSourceWorkspace};
+use crate::single_source::{accumulate, SingleSourceWorkspace};
 use crate::store::{EngineRef, HpStore};
 
 /// How a join materializes pair scores.
@@ -144,19 +146,20 @@ fn join_per_source<S: HpStore>(
     tau: f64,
 ) -> Result<Vec<JoinPair>, SlingError> {
     let mut ws = SingleSourceWorkspace::new();
-    let mut scores = Vec::new();
     let mut out = Vec::new();
     for u in graph.nodes() {
-        single_source_core(e, graph, &mut ws, u, &mut scores)?;
-        for (i, &s) in scores.iter().enumerate().skip(u.index() + 1) {
-            if s >= tau {
+        // Only touched nodes can score ≥ tau > 0, so the pass over `u`'s
+        // row costs what Algorithm 6 touched, not `n`.
+        accumulate(e, graph, &mut ws, u, None, false)?;
+        ws.dense.drain_acc(|i, s| {
+            if i > u.index() && s >= tau {
                 out.push(JoinPair {
                     u,
                     v: NodeId::from_index(i),
                     score: s,
                 });
             }
-        }
+        });
     }
     Ok(out)
 }

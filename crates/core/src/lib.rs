@@ -217,7 +217,8 @@
 //!
 //! ## Extension features beyond the paper's evaluation
 //!
-//! * top-k single-source queries with heap selection and an
+//! * top-k single-source queries whose bounded heap is fed from the
+//!   nodes Algorithm 6 touched, never a dense `n`-vector, plus an
 //!   early-terminating approximate variant ([`topk`]);
 //! * threshold and top-k similarity joins over the index ([`join`]);
 //! * incremental maintenance under edge updates with taint tracking and

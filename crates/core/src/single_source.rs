@@ -27,7 +27,9 @@ use crate::store::{
 /// Split into the dense propagation state ([`DenseScores`]) and the
 /// entry-list scratch ([`QueryWorkspace`]) so the streaming kernel can
 /// borrow the entry run (which may live in `query.buf_a`) while mutating
-/// the propagation buffers — disjoint fields, disjoint borrows.
+/// the propagation buffers — disjoint fields, disjoint borrows. Between
+/// queries the three `O(n)` score arrays of `DenseScores` are all
+/// zero, so every query costs only what it touches.
 #[derive(Debug, Default)]
 pub struct SingleSourceWorkspace {
     pub(crate) dense: DenseScores,
@@ -41,10 +43,10 @@ impl SingleSourceWorkspace {
     }
 
     /// Cap the retained capacity of the growable scratch buffers (see
-    /// [`QueryWorkspace::trim_excess`]). The `O(n)` dense score arrays
-    /// and frontier bitsets are kept — they are sized by the graph, not
-    /// by the largest query seen — but the entry buffers shrink back to
-    /// the retention threshold after a hub-sized query.
+    /// [`QueryWorkspace::trim_excess`]). The three `O(n)` score arrays
+    /// and their frontier bitsets are kept — they are sized by the
+    /// graph, not by the largest query seen — but the entry buffers
+    /// shrink back to the retention threshold after a hub-sized query.
     pub fn trim_excess(&mut self) {
         self.query.trim_excess();
     }
@@ -121,8 +123,10 @@ impl Frontier {
         self.hi = 0;
     }
 
-    /// Zero every tracked slot of `vals` and empty the frontier.
-    fn clear_tracked(&mut self, vals: &mut [f64]) {
+    /// Visit every member in ascending node order, emptying the
+    /// frontier.
+    #[inline(always)]
+    fn drain(&mut self, mut f: impl FnMut(usize)) {
         if self.lo <= self.hi {
             for wi in self.lo..=self.hi {
                 let mut w = self.bits[wi];
@@ -131,28 +135,45 @@ impl Frontier {
                 }
                 self.bits[wi] = 0;
                 while w != 0 {
-                    let x = (wi << 6) | w.trailing_zeros() as usize;
+                    f((wi << 6) | w.trailing_zeros() as usize);
                     w &= w - 1;
-                    vals[x] = 0.0;
                 }
             }
         }
         self.clear_marks();
     }
+
+    /// Add every member of `other` to this frontier (`other` is left
+    /// as it is).
+    fn absorb(&mut self, other: &Frontier) {
+        if other.lo > other.hi {
+            return;
+        }
+        for wi in other.lo..=other.hi {
+            self.bits[wi] |= other.bits[wi];
+        }
+        self.lo = self.lo.min(other.lo);
+        self.hi = self.hi.max(other.hi);
+    }
 }
 
 /// Dense forward-propagation state of Algorithm 6.
 ///
-/// Invariant between queries: `cur`/`next` are all-zero and the
-/// [`Frontier`] bitsets empty (each query resets exactly the entries it
-/// touched), so repeated queries cost no `O(n)` clears beyond the first
-/// allocation.
+/// `cur`/`next` hold one step run's temporary scores `ρ`; `acc` sums
+/// the drained runs of the whole query, and `front_acc` records which of
+/// its slots any run touched — the only nodes whose score can be
+/// nonzero. Invariant between queries: all three arrays are all-zero
+/// and the [`Frontier`] bitsets empty (each query resets exactly the
+/// entries it touched), so repeated queries cost no `O(n)` clears beyond
+/// the first allocation.
 #[derive(Debug, Default)]
 pub(crate) struct DenseScores {
     pub(crate) cur: Vec<f64>,
     pub(crate) next: Vec<f64>,
+    pub(crate) acc: Vec<f64>,
     front_cur: Frontier,
     front_next: Frontier,
+    front_acc: Frontier,
     /// `inv_deg[d] = 1/d` for small `d` — graph-independent, so it can
     /// never go stale across graphs. Turns the per-edge division of the
     /// propagation inner loop into a multiply-accumulate.
@@ -164,10 +185,12 @@ impl DenseScores {
         if self.cur.len() < n {
             self.cur.resize(n, 0.0);
             self.next.resize(n, 0.0);
+            self.acc.resize(n, 0.0);
         }
         let words = n.div_ceil(64);
         self.front_cur.ensure(words);
         self.front_next.ensure(words);
+        self.front_acc.ensure(words);
         if self.inv_deg.is_empty() {
             self.inv_deg = (0..INV_DEGREE_TABLE)
                 .map(|d| if d == 0 { 0.0 } else { 1.0 / d as f64 })
@@ -240,32 +263,46 @@ impl DenseScores {
         KernelCounters::bump_by(&obs::KERNEL.frontier_words, swept);
     }
 
-    /// Accumulate the surviving temporary scores into `out` and restore
-    /// the all-zero buffer invariant.
-    pub(crate) fn drain_into(&mut self, out: &mut [f64]) {
-        if self.front_cur.lo <= self.front_cur.hi {
-            for wi in self.front_cur.lo..=self.front_cur.hi {
-                let mut w = self.front_cur.bits[wi];
-                if w == 0 {
-                    continue;
-                }
-                self.front_cur.bits[wi] = 0;
-                while w != 0 {
-                    let x = (wi << 6) | w.trailing_zeros() as usize;
-                    w &= w - 1;
-                    out[x] += self.cur[x];
-                    self.cur[x] = 0.0;
-                }
-            }
-        }
-        self.front_cur.clear_marks();
+    /// Add the surviving temporary scores into `acc`, mark their nodes
+    /// in `front_acc`, and restore the all-zero invariant of `cur`.
+    pub(crate) fn drain_into_acc(&mut self) {
+        let Self {
+            cur,
+            acc,
+            front_cur,
+            front_acc,
+            ..
+        } = self;
+        front_acc.absorb(front_cur);
+        front_cur.drain(|x| {
+            acc[x] += cur[x];
+            cur[x] = 0.0;
+        });
     }
 
-    /// Zero any leftover touched entries (used by early-terminating
-    /// queries that abandon un-drained state).
-    pub(crate) fn reset(&mut self) {
-        self.front_cur.clear_tracked(&mut self.cur);
-        self.front_next.clear_tracked(&mut self.next);
+    /// Hand every accumulated score to `f` in ascending node order,
+    /// clamped to `[0, 1]`, zeroing its slot: the one way a query's
+    /// answer leaves `acc`. Nodes outside the touched set score exactly
+    /// 0, so ascending touched order is a dense scan restricted to the
+    /// only entries that can be nonzero.
+    #[inline]
+    pub(crate) fn drain_acc(&mut self, mut f: impl FnMut(usize, f64)) {
+        let Self { acc, front_acc, .. } = self;
+        front_acc.drain(|x| {
+            f(x, acc[x].clamp(0.0, 1.0));
+            acc[x] = 0.0;
+        });
+    }
+
+    /// Upper bound on the nodes [`DenseScores::drain_acc`] will visit:
+    /// 64 per word in the touched range.
+    pub(crate) fn touched_bound(&self) -> usize {
+        let Frontier { lo, hi, .. } = self.front_acc;
+        if lo > hi {
+            0
+        } else {
+            ((hi - lo + 1) * 64).min(self.acc.len())
+        }
     }
 }
 
@@ -298,11 +335,10 @@ pub(crate) fn single_source_materialized_core<S: HpStore>(
     single_source_with_cutoff(e, graph, ws, u, None, true, out).map(|_| ())
 }
 
-/// The shared Algorithm 6 driver: seed and propagate `H*(u)`'s step runs
-/// in ascending step order, skipping runs `ℓ ≥ cutoff` (no restriction
-/// when `cutoff` is `None`). `materialize` forces the copying reference
-/// path. Returns the residual bound `c^cutoff / (1-c)` when truncation
-/// happened, else 0.
+/// Algorithm 6 as a dense score vector: run [`accumulate`], then
+/// scatter the touched scores into `out` (length `n`, zero elsewhere)
+/// and set the exact diagonal. Returns the residual bound
+/// `c^cutoff / (1-c)` when the cutoff truncated the run sequence, else 0.
 pub(crate) fn single_source_with_cutoff<S: HpStore>(
     e: EngineRef<'_, S>,
     graph: &DiGraph,
@@ -312,10 +348,35 @@ pub(crate) fn single_source_with_cutoff<S: HpStore>(
     materialize: bool,
     out: &mut Vec<f64>,
 ) -> Result<f64, SlingError> {
-    let n = e.num_nodes();
+    let truncated = accumulate(e, graph, ws, u, cutoff, materialize)?;
     out.clear();
-    out.resize(n, 0.0);
-    ws.dense.ensure(n);
+    out.resize(e.num_nodes(), 0.0);
+    ws.dense.drain_acc(|x, score| out[x] = score);
+    if e.config.exact_diagonal {
+        out[u.index()] = 1.0;
+    }
+    Ok(match cutoff {
+        Some(cut) if truncated => e.config.c.powi(cut as i32) / (1.0 - e.config.c),
+        _ => 0.0,
+    })
+}
+
+/// The shared Algorithm 6 driver: seed and propagate `H*(u)`'s step runs
+/// in ascending step order into the workspace accumulator, skipping runs
+/// `ℓ ≥ cutoff` (no restriction when `cutoff` is `None`). `materialize`
+/// forces the copying reference path. Returns whether the cutoff
+/// truncated the run sequence. The caller must consume the answer with
+/// [`DenseScores::drain_acc`], which restores the all-zero invariant;
+/// on error nothing was accumulated.
+pub(crate) fn accumulate<S: HpStore>(
+    e: EngineRef<'_, S>,
+    graph: &DiGraph,
+    ws: &mut SingleSourceWorkspace,
+    u: NodeId,
+    cutoff: Option<u16>,
+    materialize: bool,
+) -> Result<bool, SlingError> {
+    ws.dense.ensure(e.num_nodes());
     let kind = e.restore_kind(u);
     let t_restore = ws.query.trace.timer();
     let resolved = if materialize {
@@ -351,37 +412,24 @@ pub(crate) fn single_source_with_cutoff<S: HpStore>(
     };
     query.trace.add_entry_fetch(t_fetch);
     let t_propagate = query.trace.timer();
-    let truncated = with_source!(&source, |run| seed_step_runs(
-        e, graph, dense, run, cutoff, out
-    ));
+    let truncated = with_source!(&source, |run| seed_step_runs(e, graph, dense, run, cutoff));
     drop(source);
     query.trace.add_propagate(t_propagate);
-    dense.reset();
-
-    for s in out.iter_mut() {
-        *s = s.clamp(0.0, 1.0);
-    }
-    if e.config.exact_diagonal {
-        out[u.index()] = 1.0;
-    }
-    Ok(match cutoff {
-        Some(cut) if truncated => e.config.c.powi(cut as i32) / (1.0 - e.config.c),
-        _ => 0.0,
-    })
+    Ok(truncated)
 }
 
 /// Consume `H*(u)` per step run: seed `ρ⁽⁰⁾(v_k) = h̃⁽ℓ⁾(u, v_k) · d̃_k`
 /// from the run's node/value columns (entries have distinct nodes within
 /// a step run), propagate ℓ rounds with the scaled-down pruning
-/// threshold, and accumulate `ρ⁽ℓ⁾` into `out`, restoring the all-zero
-/// invariant. Returns whether a cutoff truncated the run sequence.
+/// threshold, and add `ρ⁽ℓ⁾` into the accumulator, restoring the
+/// all-zero invariant of the temporaries. Returns whether a cutoff
+/// truncated the run sequence.
 fn seed_step_runs<S: HpStore, R: EntryRun>(
     e: EngineRef<'_, S>,
     graph: &DiGraph,
     dense: &mut DenseScores,
     run: R,
     cutoff: Option<u16>,
-    out: &mut [f64],
 ) -> bool {
     let sqrt_c = e.config.sqrt_c();
     let theta = e.config.theta;
@@ -404,7 +452,7 @@ fn seed_step_runs<S: HpStore, R: EntryRun>(
         }
         let threshold = sqrt_c.powi(step as i32) * theta;
         dense.propagate(graph, sqrt_c, threshold, step);
-        dense.drain_into(out);
+        dense.drain_into_acc();
         lo = hi;
     }
     false
@@ -531,11 +579,21 @@ mod tests {
         let g = two_cliques_bridge(4);
         let idx = build(&g, 0.05);
         let mut ws = SingleSourceWorkspace::new();
+        let all_zero = |ws: &SingleSourceWorkspace| {
+            let d = &ws.dense;
+            [&d.cur, &d.next, &d.acc]
+                .iter()
+                .all(|v| v.iter().all(|&x| x.to_bits() == 0))
+        };
         let mut first = Vec::new();
         idx.single_source_with(&g, &mut ws, NodeId(0), &mut first);
-        // Buffers must be zeroed after a query...
-        assert!(ws.dense.cur.iter().all(|&x| x == 0.0));
-        assert!(ws.dense.next.iter().all(|&x| x == 0.0));
+        // Buffers must be zeroed after a query, whichever consumer
+        // drained the accumulator...
+        assert!(all_zero(&ws), "dirty after SOURCE");
+        let top =
+            crate::topk::top_k_core(idx.engine_ref(), &g, &mut ws, NodeId(5), 3, None).unwrap();
+        assert_eq!(top, idx.top_k_heap(&g, NodeId(5), 3));
+        assert!(all_zero(&ws), "dirty after TOPK");
         // ...so the same query repeated gives identical results.
         let mut second = Vec::new();
         idx.single_source_with(&g, &mut ws, NodeId(0), &mut second);
@@ -601,6 +659,132 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Algorithm 6 written densely: every round scans all `n` scores,
+    /// every step run adds all `n` of them into the answer, and the clamp
+    /// runs over the whole vector. Same floating-point operations in the
+    /// same order as the kernel, so the answers must be bit-equal.
+    fn dense_oracle(idx: &SlingIndex, g: &DiGraph, u: NodeId) -> Vec<f64> {
+        let n = g.num_nodes();
+        let config = idx.config();
+        let sqrt_c = config.sqrt_c();
+        let mut ws = QueryWorkspace::new();
+        effective_entries_into(idx.engine_ref(), g, u, &mut ws, Buf::A).unwrap();
+        let mut out = vec![0.0; n];
+        for run in ws.buf_a.chunk_by(|a, b| a.step == b.step) {
+            let step = run[0].step;
+            let mut cur = vec![0.0; n];
+            for x in run {
+                cur[x.node.index()] += x.value * idx.d[x.node.index()];
+            }
+            let threshold = sqrt_c.powi(step as i32) * config.theta;
+            for _ in 0..step {
+                let mut next = vec![0.0; n];
+                for (x, &val) in cur.iter().enumerate() {
+                    if val <= threshold {
+                        continue;
+                    }
+                    let scale = sqrt_c * val;
+                    for &y in g.out_neighbors(NodeId::from_index(x)) {
+                        next[y.index()] += scale * (1.0 / g.in_degree(y) as f64);
+                    }
+                }
+                cur = next;
+            }
+            for (o, c) in out.iter_mut().zip(&cur) {
+                *o += c;
+            }
+        }
+        for s in out.iter_mut() {
+            *s = s.clamp(0.0, 1.0);
+        }
+        if config.exact_diagonal {
+            out[u.index()] = 1.0;
+        }
+        out
+    }
+
+    fn assert_bits_eq(got: &[f64], want: &[f64], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        for (v, (a, b)) in got.iter().zip(want).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "{what}: node {v}: {a} vs {b}");
+        }
+    }
+
+    /// SOURCE, TOPK and the per-source threshold join read the sparse
+    /// accumulator; on one reused workspace their answers must be
+    /// bit-equal to the dense oracle, to `select_top_k` over it, and to a
+    /// dense scan of each SOURCE row. Small graphs touch nearly every
+    /// node, so the frontier's word-range edges only show at scale: run
+    /// in release (`cargo test -p sling-core --release --lib
+    /// single_source::tests::sparse_accumulator_matches_dense_oracle_at_scale
+    /// -- --ignored --exact`).
+    #[test]
+    #[ignore = "release-scale: BA(20000,4), a few seconds in release"]
+    fn sparse_accumulator_matches_dense_oracle_at_scale() {
+        use crate::join::JoinStrategy;
+        use crate::topk::{select_top_k, top_k_core};
+        use sling_graph::generators::barabasi_albert;
+        let g = barabasi_albert(20_000, 4, 5).unwrap();
+        let n = g.num_nodes();
+        let idx = SlingIndex::build(&g, &SlingConfig::from_epsilon(C, 0.1).with_seed(3)).unwrap();
+        let engine = crate::SharedEngine::from(idx.clone());
+        // Both ends of the id range, both sides of word boundaries, and
+        // a stride through the middle.
+        let mut sources: Vec<u32> = vec![0, 1, 63, 64, 65, 127, 128, 19_967, 19_968, 19_999];
+        sources.extend((0..320u32).map(|i| (i * 6_151 + 17) % n as u32));
+        let mut ws = SingleSourceWorkspace::new();
+        let (mut row, mut empty) = (Vec::new(), Vec::new());
+        let mut touched_min = n;
+        for &s in &sources {
+            let u = NodeId(s);
+            let oracle = dense_oracle(&idx, &g, u);
+            touched_min = touched_min.min(oracle.iter().filter(|&&x| x > 0.0).count());
+            engine.single_source_with(&g, &mut ws, u, &mut row).unwrap();
+            assert_bits_eq(&row, &oracle, &format!("engine SOURCE {s}"));
+            idx.single_source_with(&g, &mut ws, u, &mut row);
+            assert_bits_eq(&row, &oracle, &format!("index SOURCE {s}"));
+            for k in [1, 10, n + 1] {
+                let want = select_top_k(&oracle, Some(u), k);
+                let got = engine.top_k_with(&g, &mut ws, &mut empty, u, k).unwrap();
+                assert_eq!(got, want, "engine TOPK {s} k={k}");
+                assert!(empty.is_empty());
+                let got = top_k_core(idx.engine_ref(), &g, &mut ws, u, k, None).unwrap();
+                assert_eq!(got, want, "index TOPK {s} k={k}");
+            }
+        }
+        assert!(
+            touched_min * 4 < n,
+            "fixture too dense to exercise the touched set: min {touched_min} of {n}"
+        );
+        // The join reads every row from the touched set; the oracle scans
+        // every SOURCE row densely.
+        let tau = 0.05;
+        let mut want = Vec::new();
+        for u in g.nodes() {
+            engine.single_source_with(&g, &mut ws, u, &mut row).unwrap();
+            for (v, &s) in row.iter().enumerate().skip(u.index() + 1) {
+                if s >= tau {
+                    want.push((u, NodeId::from_index(v), s.to_bits()));
+                }
+            }
+        }
+        want.sort_unstable_by(|a, b| {
+            f64::from_bits(b.2)
+                .partial_cmp(&f64::from_bits(a.2))
+                .unwrap()
+                .then(a.0.cmp(&b.0))
+                .then(a.1.cmp(&b.1))
+        });
+        let got: Vec<_> = engine
+            .threshold_join(&g, tau, JoinStrategy::PerSource)
+            .unwrap()
+            .into_iter()
+            .map(|p| (p.u, p.v, p.score.to_bits()))
+            .collect();
+        assert!(!got.is_empty());
+        assert_eq!(got, want, "threshold join");
     }
 
     #[test]

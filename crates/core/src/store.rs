@@ -53,7 +53,7 @@ use crate::obs::{self, KernelCounters};
 use crate::out_of_core::DiskHpStore;
 use crate::single_pair::single_pair_core;
 use crate::single_source::{single_source_core, SingleSourceWorkspace};
-use crate::topk::{select_top_k, single_source_truncated_core};
+use crate::topk::{single_source_truncated_core, top_k_core};
 
 /// Read interface to a packed hitting-probability store.
 ///
@@ -1885,8 +1885,9 @@ impl<S: HpStore> SharedEngine<S> {
         self.top_k_with(graph, &mut ws, &mut scores, u, k)
     }
 
-    /// Top-k reusing caller-provided buffers (`scores` holds the full
-    /// Algorithm-6 vector afterwards).
+    /// Top-k reusing the caller's workspace. The heap is fed straight
+    /// from the nodes Algorithm 6 touched, so no dense score vector is
+    /// built: `scores` is left empty.
     pub fn top_k_with(
         &self,
         graph: &DiGraph,
@@ -1895,8 +1896,9 @@ impl<S: HpStore> SharedEngine<S> {
         u: NodeId,
         k: usize,
     ) -> Result<Vec<(NodeId, f64)>, SlingError> {
-        self.single_source_with(graph, ws, u, scores)?;
-        Ok(select_top_k(scores, Some(u), k))
+        self.engine_ref().check_node(u)?;
+        scores.clear();
+        top_k_core(self.engine_ref(), graph, ws, u, k, None)
     }
 
     /// All unordered pairs with `s̃(u, v) ≥ tau` (see
@@ -2062,6 +2064,28 @@ mod tests {
             assert_eq!(engine.top_k(&g, u, 7).unwrap(), idx.top_k_heap(&g, u, 7));
         }
         std::fs::remove_file(&path).ok();
+    }
+
+    /// `k` arrives from the wire unchecked: it must bound the answer,
+    /// never size an allocation or overflow `k + 1`.
+    #[test]
+    fn top_k_with_huge_k_returns_every_ranked_node() {
+        let g = barabasi_albert(150, 2, 3).unwrap();
+        let idx = SlingIndex::build(&g, &cfg()).unwrap();
+        let engine = SharedEngine::from(idx.clone());
+        let n = g.num_nodes();
+        for u in [NodeId(0), NodeId(149)] {
+            let all = engine.top_k(&g, u, n).unwrap();
+            assert!(!all.is_empty() && all.len() < n);
+            for k in [1usize << 40, usize::MAX] {
+                assert_eq!(engine.top_k(&g, u, k).unwrap(), all, "k = {k}");
+                assert_eq!(idx.top_k_heap(&g, u, k), all, "k = {k}");
+                assert_eq!(
+                    crate::topk::select_top_k(&idx.single_source(&g, u), Some(u), k),
+                    all
+                );
+            }
+        }
     }
 
     #[test]

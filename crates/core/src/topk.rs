@@ -4,9 +4,10 @@
 //! type; the SLING index supports them directly. This module provides two
 //! query strategies on top of Algorithm 6:
 //!
-//! * [`SlingIndex::top_k_heap`] — run the full single-source query, then
-//!   select the k best in `O(n log k)` with a bounded min-heap instead of
-//!   sorting all `n` scores.
+//! * [`SlingIndex::top_k_heap`] — run the single-source propagation, then
+//!   feed a bounded min-heap straight from the nodes it touched: no dense
+//!   score vector is written or scanned, so selection costs
+//!   `O(t log k)` for `t` touched nodes instead of `O(n log k)`.
 //! * [`SlingIndex::top_k_approx`] — an early-terminating variant. The
 //!   step-ℓ term of Eq. (13) contributes at most `c^ℓ` to *any* pair's
 //!   score (each hitting-probability row sums to `(√c)^ℓ` and `d_k ≤ 1`),
@@ -14,15 +15,18 @@
 //!   propagation stops. Every returned score is then within `slack` of the
 //!   full Algorithm-6 estimate, and since deep steps are the expensive
 //!   ones to propagate, the saving is real on graphs with long HP tails.
+//!
+//! [`select_top_k`] runs the same heap over a dense score vector for
+//! callers that already hold one.
 
-use std::cmp::Ordering;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
 use sling_graph::{DiGraph, NodeId};
 
 use crate::error::SlingError;
 use crate::index::SlingIndex;
-use crate::single_source::{single_source_with_cutoff, SingleSourceWorkspace};
+use crate::single_source::{accumulate, single_source_with_cutoff, SingleSourceWorkspace};
 use crate::store::{EngineRef, HpStore};
 
 /// A `(score, node)` pair ordered by descending score with ascending
@@ -51,44 +55,94 @@ impl PartialOrd for Ranked {
     }
 }
 
+/// The `k` best positive-score candidates offered so far, in a min-heap
+/// whose root is the worst one kept (`O(log k)` eviction). [`Ranked`] is
+/// a total order over distinct nodes, so the kept set does not depend on
+/// the order candidates arrive in.
+struct TopK {
+    heap: BinaryHeap<Reverse<Ranked>>,
+    k: usize,
+}
+
+impl TopK {
+    /// Sized by `min(k, candidates)`: a `k` from the wire never sizes
+    /// the allocation.
+    fn new(k: usize, candidates: usize) -> Self {
+        Self {
+            heap: BinaryHeap::with_capacity(k.min(candidates)),
+            k,
+        }
+    }
+
+    #[inline]
+    fn offer(&mut self, node: usize, score: f64) {
+        if score <= 0.0 {
+            return;
+        }
+        let cand = Ranked {
+            score,
+            node: node as u32,
+        };
+        if self.heap.len() < self.k {
+            self.heap.push(Reverse(cand));
+        } else if let Some(mut worst) = self.heap.peek_mut() {
+            if cand > worst.0 {
+                *worst = Reverse(cand);
+            }
+        }
+    }
+
+    /// Descending score, ascending node id on ties.
+    fn into_sorted(self) -> Vec<(NodeId, f64)> {
+        self.heap
+            .into_sorted_vec()
+            .into_iter()
+            .map(|Reverse(r)| (NodeId(r.node), r.score))
+            .collect()
+    }
+}
+
 /// Select the `k` best `(node, score)` pairs from a dense score vector,
 /// excluding `exclude` and zero scores, in `O(n log k)`. Public so
 /// external harnesses (the CLI's `bench-query`, the criterion benches)
 /// can compose it with the buffer-reusing single-source APIs.
 pub fn select_top_k(scores: &[f64], exclude: Option<NodeId>, k: usize) -> Vec<(NodeId, f64)> {
-    if k == 0 {
-        return Vec::new();
-    }
-    // Min-heap of the k best seen so far: `Reverse` puts the worst kept
-    // candidate at the root for O(log k) eviction.
-    let mut heap: BinaryHeap<std::cmp::Reverse<Ranked>> = BinaryHeap::with_capacity(k + 1);
+    let mut top = TopK::new(k, scores.len());
     for (i, &score) in scores.iter().enumerate() {
-        if score <= 0.0 || Some(NodeId::from_index(i)) == exclude {
-            continue;
-        }
-        let cand = Ranked {
-            score,
-            node: i as u32,
-        };
-        if heap.len() < k {
-            heap.push(std::cmp::Reverse(cand));
-        } else if cand > heap.peek().expect("heap non-empty").0 {
-            heap.pop();
-            heap.push(std::cmp::Reverse(cand));
+        if Some(NodeId::from_index(i)) != exclude {
+            top.offer(i, score);
         }
     }
-    let mut out: Vec<(NodeId, f64)> = heap
-        .into_iter()
-        .map(|std::cmp::Reverse(r)| (NodeId(r.node), r.score))
-        .collect();
-    out.sort_unstable_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
-    out
+    top.into_sorted()
+}
+
+/// Top-k over any storage backend (see [`SlingIndex::top_k_heap`]): the
+/// Algorithm 6 driver with step runs `ℓ ≥ cutoff` skipped, then the heap
+/// fed from the touched set in ascending node order. The diagonal is
+/// excluded, so the exact-diagonal setting cannot change the answer.
+pub(crate) fn top_k_core<S: HpStore>(
+    e: EngineRef<'_, S>,
+    graph: &DiGraph,
+    ws: &mut SingleSourceWorkspace,
+    u: NodeId,
+    k: usize,
+    cutoff: Option<u16>,
+) -> Result<Vec<(NodeId, f64)>, SlingError> {
+    accumulate(e, graph, ws, u, cutoff, false)?;
+    let mut top = TopK::new(k, ws.dense.touched_bound());
+    ws.dense.drain_acc(|x, score| {
+        if x != u.index() {
+            top.offer(x, score);
+        }
+    });
+    Ok(top.into_sorted())
 }
 
 impl SlingIndex {
     /// Top-k most similar nodes to `u` (excluding `u`), selected with a
-    /// bounded heap. Result is identical to [`SlingIndex::top_k`] but the
-    /// selection step costs `O(n log k)` instead of `O(n log n)`.
+    /// bounded heap fed from the nodes Algorithm 6 touched. Result is
+    /// identical to [`SlingIndex::top_k`] but no dense score vector is
+    /// built, scanned or sorted.
     ///
     /// ```
     /// use sling_core::{SlingConfig, SlingIndex};
@@ -101,8 +155,7 @@ impl SlingIndex {
     /// assert!(top.windows(2).all(|w| w[0].1 >= w[1].1));
     /// ```
     pub fn top_k_heap(&self, graph: &DiGraph, u: NodeId, k: usize) -> Vec<(NodeId, f64)> {
-        let scores = self.single_source(graph, u);
-        select_top_k(&scores, Some(u), k)
+        self.top_k_approx(graph, u, k, 0.0)
     }
 
     /// Early-terminating top-k: stops propagating Algorithm 6's step runs
@@ -119,10 +172,11 @@ impl SlingIndex {
         k: usize,
         slack: f64,
     ) -> Vec<(NodeId, f64)> {
+        debug_assert_eq!(graph.num_nodes(), self.num_nodes, "wrong graph for index");
         let mut ws = SingleSourceWorkspace::new();
-        let mut scores = Vec::new();
-        self.single_source_truncated(graph, &mut ws, u, slack, &mut scores);
-        select_top_k(&scores, Some(u), k)
+        let cutoff = slack_cutoff(self.config().c, slack);
+        top_k_core(self.engine_ref(), graph, &mut ws, u, k, cutoff)
+            .expect("in-memory HP store cannot fail")
     }
 
     /// Algorithm 6 with early termination: skip step runs whose maximum
@@ -143,6 +197,22 @@ impl SlingIndex {
     }
 }
 
+/// The first step run early termination may drop: the smallest ℓ with
+/// `c^ℓ/(1-c) ≤ slack`, so it goes along with everything deeper. `None`
+/// (no cutoff) when `slack ≤ 0`.
+fn slack_cutoff(c: f64, slack: f64) -> Option<u16> {
+    if slack <= 0.0 {
+        return None;
+    }
+    // c^ℓ ≤ slack (1-c)  ⇔  ℓ ≥ log(slack (1-c)) / log(c).
+    let bound = (slack * (1.0 - c)).ln() / c.ln();
+    if bound <= 0.0 {
+        Some(0)
+    } else {
+        Some(bound.ceil() as u16)
+    }
+}
+
 /// Early-terminating Algorithm 6 over any storage backend (see
 /// [`SlingIndex::single_source_truncated`]): maps `slack` to a step
 /// cutoff, then runs the shared streaming driver
@@ -155,20 +225,7 @@ pub(crate) fn single_source_truncated_core<S: HpStore>(
     slack: f64,
     out: &mut Vec<f64>,
 ) -> Result<f64, SlingError> {
-    let c = e.config.c;
-    // Largest step we must still process: the smallest ℓ with
-    // c^ℓ/(1-c) ≤ slack can be dropped along with everything deeper.
-    let cutoff: Option<u16> = if slack <= 0.0 {
-        None
-    } else {
-        // c^ℓ ≤ slack (1-c)  ⇔  ℓ ≥ log(slack (1-c)) / log(c).
-        let bound = (slack * (1.0 - c)).ln() / c.ln();
-        if bound <= 0.0 {
-            Some(0)
-        } else {
-            Some(bound.ceil() as u16)
-        }
-    };
+    let cutoff = slack_cutoff(e.config.c, slack);
     single_source_with_cutoff(e, graph, ws, u, cutoff, false, out)
 }
 

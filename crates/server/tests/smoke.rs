@@ -142,6 +142,37 @@ fn concurrent_mixed_traffic_is_bit_identical_to_serial() {
     assert!(cache.hits > 0 && cache.misses > 0);
 }
 
+/// A `TOPK` whose `k` dwarfs the graph (sent as the line
+/// `TOPK 0 1000000000000`) answers every ranked node and leaves the
+/// connection serving: `k` bounds the answer, it never sizes an
+/// allocation.
+#[test]
+fn topk_with_huge_k_answers_and_keeps_the_session() {
+    let (g, idx) = setup();
+    let want: Vec<(u32, f64)> = idx
+        .top_k_heap(&g, NodeId(0), g.num_nodes())
+        .into_iter()
+        .map(|(v, s)| (v.0, s))
+        .collect();
+    let engine = Arc::new(SharedEngine::from(idx));
+    let handle = serve(
+        engine,
+        Arc::new(g),
+        Listener::bind_tcp("127.0.0.1:0").unwrap(),
+        ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let mut client = Client::connect_tcp(handle.local_addr().unwrap()).unwrap();
+    let got = client.top_k(0, 1_000_000_000_000).unwrap();
+    assert_eq!(got, want);
+    client.ping().unwrap();
+    client.shutdown().unwrap();
+    handle.join();
+}
+
 #[test]
 fn unix_socket_serving_and_cacheless_mode() {
     let (g, idx) = setup();

@@ -344,6 +344,153 @@ fn star_graph_extreme_skew_is_bit_identical() {
     assert_streaming_matches_materialized("star-mem", &mem, &g, &pairs, &[NodeId(0), NodeId(7)]);
 }
 
+fn assert_bits_eq(got: &[f64], want: &[f64], what: &str) {
+    assert_eq!(got.len(), want.len(), "{what}: length");
+    for (v, (a, b)) in got.iter().zip(want).enumerate() {
+        assert_eq!(a.to_bits(), b.to_bits(), "{what}: node {v}: {a} vs {b}");
+    }
+}
+
+/// TOPK and the per-source threshold join read Algorithm 6's touched
+/// set instead of a dense score vector. On every backend, under both
+/// restore policies (engine with a `RestoreCache`, bare `SlingIndex`
+/// without) and with the exact diagonal on and off, each answer must
+/// equal `select_top_k` or a dense scan over the same engine's SOURCE
+/// row, bit for bit. SOURCE, TOPK, truncated and join calls interleave
+/// on one `SingleSourceWorkspace`, and every SOURCE row on it must
+/// equal a fresh workspace's: an accumulator left dirty by one query
+/// fails the next.
+#[test]
+fn sparse_topk_and_join_match_dense_scans_on_one_workspace() {
+    const SLACK: f64 = 0.05;
+    const TAU: f64 = 0.05;
+    let g = barabasi_albert(300, 3, 17).unwrap();
+    let n = g.num_nodes();
+    let sources: Vec<NodeId> = [0, 1, 63, 64, 150, 255, 256, n as u32 - 1]
+        .into_iter()
+        .map(NodeId)
+        .collect();
+    let ks = [0, 1, 10, n + 7];
+    for exact_diagonal in [true, false] {
+        let config = SlingConfig::from_epsilon(C, 0.1)
+            .with_seed(5)
+            .with_exact_diagonal(exact_diagonal);
+        let idx = SlingIndex::build(&g, &config).unwrap();
+        assert!(idx.stats().reduced_nodes > 0, "fixture has no §5.2 nodes");
+        let path = tmpfile("sparse");
+        idx.save(&path).unwrap();
+        let v2_path = tmpfile("sparse_v2");
+        let opts = CompressOptions {
+            block_entries: 32,
+            quantize_values: false,
+        };
+        idx.save_v2(&v2_path, &opts).unwrap();
+        let engines = [
+            ("mem", SharedEngine::from(idx.clone()).into_dyn()),
+            (
+                "mmap",
+                SharedEngine::open_mmap(&g, &path).unwrap().into_dyn(),
+            ),
+            (
+                "mmap-compressed",
+                SharedEngine::open_mmap_compressed(&g, &v2_path)
+                    .unwrap()
+                    .into_dyn(),
+            ),
+            (
+                "disk",
+                SharedEngine::open_disk(&g, &path).unwrap().into_dyn(),
+            ),
+        ];
+        for (label, engine) in &engines {
+            let what =
+                |verb: &str, u: NodeId| format!("{label} diag={exact_diagonal} {verb} {u:?}");
+            let mut ws = SingleSourceWorkspace::new();
+            let (mut row, mut left_empty, mut truncated) = (Vec::new(), Vec::new(), Vec::new());
+            for &u in &sources {
+                let dense = engine.single_source(&g, u).unwrap();
+                if exact_diagonal {
+                    assert_eq!(dense[u.index()], 1.0);
+                }
+                engine.single_source_with(&g, &mut ws, u, &mut row).unwrap();
+                assert_bits_eq(&row, &dense, &what("SOURCE", u));
+                for k in ks {
+                    let top = engine
+                        .top_k_with(&g, &mut ws, &mut left_empty, u, k)
+                        .unwrap();
+                    assert_eq!(
+                        top,
+                        select_top_k(&dense, Some(u), k),
+                        "{} k={k}",
+                        what("TOPK", u)
+                    );
+                    assert!(left_empty.is_empty());
+                    assert_eq!(
+                        idx.top_k_heap(&g, u, k),
+                        top,
+                        "{} k={k}",
+                        what("bare TOPK", u)
+                    );
+                }
+                let residual = engine
+                    .single_source_truncated(&g, &mut ws, u, SLACK, &mut truncated)
+                    .unwrap();
+                assert!(residual > 0.0);
+                let mut fresh = Vec::new();
+                engine
+                    .single_source_truncated(
+                        &g,
+                        &mut SingleSourceWorkspace::new(),
+                        u,
+                        SLACK,
+                        &mut fresh,
+                    )
+                    .unwrap();
+                assert_bits_eq(&truncated, &fresh, &what("truncated", u));
+                for k in ks {
+                    assert_eq!(
+                        idx.top_k_approx(&g, u, k, SLACK),
+                        select_top_k(&truncated, Some(u), k),
+                        "{} k={k}",
+                        what("approx TOPK", u)
+                    );
+                }
+                idx.single_source_with(&g, &mut ws, u, &mut row);
+                assert_bits_eq(&row, &dense, &what("bare SOURCE", u));
+                idx.single_source_truncated(&g, &mut ws, u, SLACK, &mut row);
+                assert_bits_eq(&row, &truncated, &what("bare truncated", u));
+            }
+            let mut scanned = Vec::new();
+            for u in g.nodes() {
+                engine.single_source_with(&g, &mut ws, u, &mut row).unwrap();
+                for (v, &s) in row.iter().enumerate().skip(u.index() + 1) {
+                    if s >= TAU {
+                        scanned.push((u, NodeId::from_index(v), s));
+                    }
+                }
+            }
+            let mut joined = join_row(
+                engine
+                    .threshold_join(&g, TAU, JoinStrategy::PerSource)
+                    .unwrap(),
+            );
+            assert!(!joined.is_empty(), "{label}: empty join");
+            let key = |p: &(NodeId, NodeId, f64)| (p.0, p.1, p.2.to_bits());
+            joined.sort_unstable_by_key(key);
+            scanned.sort_unstable_by_key(key);
+            assert_eq!(joined, scanned, "{label} diag={exact_diagonal}: join");
+            let mut bare = join_row(
+                idx.threshold_join(&g, TAU, JoinStrategy::PerSource)
+                    .unwrap(),
+            );
+            bare.sort_unstable_by_key(key);
+            assert_eq!(bare, scanned, "bare diag={exact_diagonal}: join");
+        }
+        std::fs::remove_file(&path).ok();
+        std::fs::remove_file(&v2_path).ok();
+    }
+}
+
 /// Shared corpus for the mutation property: one valid persisted index.
 fn mutation_corpus() -> &'static (DiGraph, Vec<u8>) {
     static CORPUS: OnceLock<(DiGraph, Vec<u8>)> = OnceLock::new();
