@@ -13,6 +13,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use sling_bench::{params_for, sample_pairs, sling_config};
+use sling_core::topk::select_top_k;
 use sling_core::{QueryWorkspace, ShardedResultCache, SharedEngine, SlingIndex};
 use sling_graph::datasets::{by_name, Tier};
 use sling_graph::NodeId;
@@ -51,14 +52,14 @@ fn bench_space_reduction_and_enhancement(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation/single_pair_query");
     group.sample_size(20);
     for (name, config) in variants {
-        let index = SlingIndex::build(&graph, &config).unwrap();
+        let index = SharedEngine::from(SlingIndex::build(&graph, &config).unwrap());
         let mut ws = QueryWorkspace::new();
         let mut cursor = 0usize;
         group.bench_function(name, |b| {
             b.iter(|| {
                 let (u, v) = pairs[cursor % pairs.len()];
                 cursor += 1;
-                std::hint::black_box(index.single_pair_with(&graph, &mut ws, u, v))
+                std::hint::black_box(index.single_pair_with(&graph, &mut ws, u, v).unwrap())
             })
         });
     }
@@ -82,7 +83,7 @@ fn bench_dk_estimators(c: &mut Criterion) {
 fn bench_topk_strategies(c: &mut Criterion) {
     let graph = by_name("grqc-sim").unwrap().build();
     let params = params_for(Tier::Small, Some(0.05));
-    let index = SlingIndex::build(&graph, &sling_config(&params, 42)).unwrap();
+    let index = SharedEngine::from(SlingIndex::build(&graph, &sling_config(&params, 42)).unwrap());
     let sources: Vec<NodeId> = (0..32u32)
         .map(|i| NodeId(i * 61 % graph.num_nodes() as u32))
         .collect();
@@ -90,11 +91,12 @@ fn bench_topk_strategies(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation/topk");
     group.sample_size(20);
     let mut cursor = 0usize;
-    group.bench_function("sort_full", |b| {
+    group.bench_function("dense_select", |b| {
         b.iter(|| {
             let u = sources[cursor % sources.len()];
             cursor += 1;
-            std::hint::black_box(index.top_k(&graph, u, k))
+            let scores = index.single_source(&graph, u).unwrap();
+            std::hint::black_box(select_top_k(&scores, Some(u), k))
         })
     });
     let mut cursor = 0usize;
@@ -102,7 +104,7 @@ fn bench_topk_strategies(c: &mut Criterion) {
         b.iter(|| {
             let u = sources[cursor % sources.len()];
             cursor += 1;
-            std::hint::black_box(index.top_k_heap(&graph, u, k))
+            std::hint::black_box(index.top_k(&graph, u, k).unwrap())
         })
     });
     let mut cursor = 0usize;
@@ -110,7 +112,7 @@ fn bench_topk_strategies(c: &mut Criterion) {
         b.iter(|| {
             let u = sources[cursor % sources.len()];
             cursor += 1;
-            std::hint::black_box(index.top_k_approx(&graph, u, k, 0.01))
+            std::hint::black_box(index.top_k_approx(&graph, u, k, 0.01).unwrap())
         })
     });
     group.finish();
@@ -119,7 +121,7 @@ fn bench_topk_strategies(c: &mut Criterion) {
 fn bench_query_cache(c: &mut Criterion) {
     let graph = by_name("grqc-sim").unwrap().build();
     let params = params_for(Tier::Small, Some(0.05));
-    let index = SlingIndex::build(&graph, &sling_config(&params, 42)).unwrap();
+    let index = SharedEngine::from(SlingIndex::build(&graph, &sling_config(&params, 42)).unwrap());
     // Skewed workload: 32 hot nodes queried against each other repeatedly.
     let hot: Vec<NodeId> = (0..32u32)
         .map(|i| NodeId(i * 17 % graph.num_nodes() as u32))
@@ -135,10 +137,10 @@ fn bench_query_cache(c: &mut Criterion) {
         b.iter(|| {
             let (u, v) = workload[cursor % workload.len()];
             cursor += 1;
-            std::hint::black_box(index.single_pair_with(&graph, &mut ws, u, v))
+            std::hint::black_box(index.single_pair_with(&graph, &mut ws, u, v).unwrap())
         })
     });
-    let engine = SharedEngine::from(index.clone());
+    let engine = &index;
     let cache = ShardedResultCache::new(4096, 1);
     let mut cursor = 0usize;
     group.bench_function("lru_cached", |b| {

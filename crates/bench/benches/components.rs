@@ -12,7 +12,7 @@ use sling_bench::{params_for, sample_pairs, sling_config, C};
 use sling_core::correction::estimate_dk;
 use sling_core::local_update::collect_from;
 use sling_core::walk::{task_rng, WalkEngine};
-use sling_core::{QueryWorkspace, SlingIndex};
+use sling_core::{QueryWorkspace, SharedEngine, SlingIndex};
 use sling_graph::datasets::{by_name, Tier};
 use sling_graph::NodeId;
 
@@ -72,14 +72,14 @@ fn bench_components(c: &mut Criterion) {
         ("query_space_reduced", base.clone()),
         ("query_enhanced", base.clone().with_enhancement(true)),
     ] {
-        let index = SlingIndex::build(&graph, &cfg).unwrap();
+        let index = SharedEngine::from(SlingIndex::build(&graph, &cfg).unwrap());
         let mut ws = QueryWorkspace::new();
         let mut cursor = 0usize;
         group.bench_function(label, |b| {
             b.iter(|| {
                 let (u, v) = pairs[cursor % pairs.len()];
                 cursor += 1;
-                std::hint::black_box(index.single_pair_with(&graph, &mut ws, u, v))
+                std::hint::black_box(index.single_pair_with(&graph, &mut ws, u, v).unwrap())
             })
         });
     }

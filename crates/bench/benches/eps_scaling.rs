@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sling_bench::{params_for, sample_pairs, sling_config};
-use sling_core::{QueryWorkspace, SlingIndex};
+use sling_core::{QueryWorkspace, SharedEngine, SlingIndex};
 use sling_graph::datasets::{by_name, Tier};
 
 fn bench_eps_scaling(c: &mut Criterion) {
@@ -16,14 +16,15 @@ fn bench_eps_scaling(c: &mut Criterion) {
     group.sample_size(20);
     for eps in [0.2, 0.1, 0.05, 0.025] {
         let params = params_for(Tier::Small, Some(eps));
-        let index = SlingIndex::build(&graph, &sling_config(&params, 42)).unwrap();
+        let index =
+            SharedEngine::from(SlingIndex::build(&graph, &sling_config(&params, 42)).unwrap());
         let mut ws = QueryWorkspace::new();
         let mut cursor = 0usize;
         group.bench_with_input(BenchmarkId::from_parameter(eps), &eps, |b, _| {
             b.iter(|| {
                 let (u, v) = pairs[cursor % pairs.len()];
                 cursor += 1;
-                std::hint::black_box(index.single_pair_with(&graph, &mut ws, u, v))
+                std::hint::black_box(index.single_pair_with(&graph, &mut ws, u, v).unwrap())
             })
         });
     }

@@ -13,7 +13,7 @@ use sling_graph::NodeId;
 fn bench_joins(c: &mut Criterion) {
     let graph = by_name("as-sim").unwrap().build();
     let params = params_for(Tier::Small, Some(0.05));
-    let index = SlingIndex::build(&graph, &sling_config(&params, 42)).unwrap();
+    let index = SharedEngine::from(SlingIndex::build(&graph, &sling_config(&params, 42)).unwrap());
     let mut group = c.benchmark_group("extensions/threshold_join");
     group.sample_size(10);
     for (name, strategy) in [

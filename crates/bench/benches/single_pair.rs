@@ -5,14 +5,14 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use sling_baselines::linearize::Linearize;
 use sling_baselines::monte_carlo::McIndex;
 use sling_bench::{params_for, sample_pairs, sling_config, C};
-use sling_core::{QueryWorkspace, SlingIndex};
+use sling_core::{QueryWorkspace, SharedEngine, SlingIndex};
 use sling_graph::datasets::{by_name, Tier};
 
 fn bench_single_pair(c: &mut Criterion) {
     let spec = by_name("grqc-sim").unwrap();
     let graph = spec.build();
     let params = params_for(Tier::Small, Some(0.05));
-    let sling = SlingIndex::build(&graph, &sling_config(&params, 42)).unwrap();
+    let sling = SharedEngine::from(SlingIndex::build(&graph, &sling_config(&params, 42)).unwrap());
     let lin = Linearize::build(&graph, &params.lin);
     let mc = McIndex::build(&graph, C, 1000, params.mc_truncation, 42);
     let pairs = sample_pairs(graph.num_nodes(), 256, 7);
@@ -25,7 +25,7 @@ fn bench_single_pair(c: &mut Criterion) {
         b.iter(|| {
             let (u, v) = pairs[cursor % pairs.len()];
             cursor += 1;
-            std::hint::black_box(sling.single_pair_with(&graph, &mut ws, u, v))
+            std::hint::black_box(sling.single_pair_with(&graph, &mut ws, u, v).unwrap())
         })
     });
     let mut cursor = 0usize;

@@ -3,16 +3,16 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use sling_baselines::linearize::Linearize;
-use sling_bench::{params_for, sample_nodes, sling_config};
+use sling_bench::{params_for, sample_nodes, single_source_via_pairs, sling_config};
 use sling_core::single_source::SingleSourceWorkspace;
-use sling_core::SlingIndex;
+use sling_core::{SharedEngine, SlingIndex};
 use sling_graph::datasets::{by_name, Tier};
 
 fn bench_single_source(c: &mut Criterion) {
     let spec = by_name("as-sim").unwrap();
     let graph = spec.build();
     let params = params_for(Tier::Small, Some(0.05));
-    let sling = SlingIndex::build(&graph, &sling_config(&params, 42)).unwrap();
+    let sling = SharedEngine::from(SlingIndex::build(&graph, &sling_config(&params, 42)).unwrap());
     let lin = Linearize::build(&graph, &params.lin);
     let sources = sample_nodes(graph.num_nodes(), 64, 3);
 
@@ -25,7 +25,9 @@ fn bench_single_source(c: &mut Criterion) {
         b.iter(|| {
             let u = sources[cursor % sources.len()];
             cursor += 1;
-            sling.single_source_with(&graph, &mut ws, u, &mut out);
+            sling
+                .single_source_with(&graph, &mut ws, u, &mut out)
+                .unwrap();
             std::hint::black_box(out[0])
         })
     });
@@ -42,7 +44,7 @@ fn bench_single_source(c: &mut Criterion) {
         b.iter(|| {
             let u = sources[cursor % sources.len()];
             cursor += 1;
-            std::hint::black_box(sling.single_source_via_pairs(&graph, u))
+            std::hint::black_box(single_source_via_pairs(&sling, &graph, u))
         })
     });
     group.finish();

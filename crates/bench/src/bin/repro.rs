@@ -31,8 +31,9 @@ use sling_baselines::linearize::Linearize;
 use sling_baselines::monte_carlo::McIndex;
 use sling_baselines::{grouped_errors, max_error, power_simrank, top_k_precision, DenseMatrix};
 use sling_bench::*;
+use sling_core::hp::HpArena;
 use sling_core::out_of_core::{build_out_of_core, OutOfCoreConfig};
-use sling_core::SlingIndex;
+use sling_core::{SharedEngine, SlingIndex};
 use sling_graph::datasets::{DatasetSpec, Tier};
 use sling_graph::{DiGraph, GraphStats};
 
@@ -153,7 +154,10 @@ fn section(title: &str) {
 struct Built {
     graph: DiGraph,
     params: TierParams,
-    sling: SlingIndex,
+    sling: SharedEngine<HpArena>,
+    /// Index bytes at build time, before any query fills the engine's
+    /// restore cache.
+    sling_bytes: usize,
     sling_secs: f64,
     lin: Linearize,
     lin_secs: f64,
@@ -166,6 +170,8 @@ fn build_all(spec: &DatasetSpec, opts: &Options, seed: u64) -> Built {
     let params = params_for(spec.tier, opts.eps);
     let (sling, sling_secs) =
         time(|| SlingIndex::build(&graph, &sling_config(&params, seed)).expect("valid config"));
+    let sling_bytes = sling.resident_bytes();
+    let sling = SharedEngine::from(sling);
     let (lin, lin_secs) = time(|| Linearize::build(&graph, &params.lin));
     let (mc, mc_secs) = if params.run_mc {
         let (mc, secs) =
@@ -178,6 +184,7 @@ fn build_all(spec: &DatasetSpec, opts: &Options, seed: u64) -> Built {
         graph,
         params,
         sling,
+        sling_bytes,
         sling_secs,
         lin,
         lin_secs,
@@ -235,6 +242,8 @@ fn table1(opts: &Options) {
     for &eps in &[0.2, 0.1, 0.05, 0.025] {
         let params = params_for(spec.tier, Some(eps));
         let idx = SlingIndex::build(&graph, &sling_config(&params, 42)).unwrap();
+        let (index_bytes, entries) = (idx.resident_bytes(), idx.stats().entries_stored);
+        let idx = SharedEngine::from(idx);
         let pairs = sample_pairs(n, pair_count, 7);
         let pair_t = bench_sling_single_pair(&idx, &graph, &pairs);
         let sources = sample_nodes(n, source_count, 8);
@@ -245,8 +254,8 @@ fn table1(opts: &Options) {
             eps,
             fmt_secs(pair_t),
             fmt_secs(source_t),
-            fmt_bytes(idx.resident_bytes()),
-            idx.stats().entries_stored,
+            fmt_bytes(index_bytes),
+            entries,
         );
         prev_pair = Some(pair_t);
     }
@@ -311,7 +320,7 @@ fn fig2(opts: &Options) {
             let few = &sources[..sources.len().min(3)];
             let (_, total) = time(|| {
                 for &u in few {
-                    std::hint::black_box(b.sling.single_source_via_pairs(&b.graph, u));
+                    std::hint::black_box(single_source_via_pairs(&b.sling, &b.graph, u));
                 }
             });
             Some(total / few.len() as f64)
@@ -380,7 +389,7 @@ fn fig4(opts: &Options) {
         println!(
             "{:<16} {:>12} {:>12} {:>12} {:>16}",
             spec.name,
-            fmt_bytes(b.sling.resident_bytes()),
+            fmt_bytes(b.sling_bytes),
             fmt_bytes(b.lin.resident_bytes()),
             b.mc.as_ref()
                 .map(|m| fmt_bytes(m.resident_bytes()))
@@ -432,7 +441,7 @@ fn accuracy(opts: &Options, report: AccuracyReport) {
             let seed = 1000 + run as u64;
             // Figures 5-7 measure the raw estimator: exact-diagonal off.
             let cfg = sling_config(&params, seed).with_exact_diagonal(false);
-            let sling = SlingIndex::build(&graph, &cfg).unwrap();
+            let sling = SharedEngine::from(SlingIndex::build(&graph, &cfg).unwrap());
             let s_mat = all_pairs_sling(&sling, &graph);
             let mut lin_cfg = params.lin.clone();
             lin_cfg.seed = seed;
@@ -604,7 +613,8 @@ fn fig10(opts: &Options) {
 fn extensions(opts: &Options) {
     use sling_core::dynamic::{DynamicConfig, DynamicSling, StalePolicy};
     use sling_core::join::JoinStrategy;
-    use sling_core::{ShardedResultCache, SharedEngine};
+    use sling_core::topk::select_top_k;
+    use sling_core::ShardedResultCache;
     use sling_graph::NodeId;
 
     println!("\n== extensions: costs of the beyond-paper query types ==");
@@ -613,7 +623,8 @@ fn extensions(opts: &Options) {
         let graph = spec.build();
         let params = params_for(Tier::Small, opts.eps);
         let cfg = sling_config(&params, 42);
-        let index = SlingIndex::build(&graph, &cfg).unwrap();
+        let built = SlingIndex::build(&graph, &cfg).unwrap();
+        let index = SharedEngine::from(built.clone());
         let n = graph.num_nodes();
         println!(
             "\n-- {} (n = {}, m = {}) --",
@@ -625,24 +636,25 @@ fn extensions(opts: &Options) {
         // Top-k strategies (64 sources, k = 50).
         let sources = sample_nodes(n, if opts.quick { 8 } else { 64 }, 3);
         let k = 50;
-        let (_, t_sort) = time(|| {
+        let (_, t_dense) = time(|| {
             for &u in &sources {
-                std::hint::black_box(index.top_k(&graph, u, k));
+                let scores = index.single_source(&graph, u).unwrap();
+                std::hint::black_box(select_top_k(&scores, Some(u), k));
             }
         });
         let (_, t_heap) = time(|| {
             for &u in &sources {
-                std::hint::black_box(index.top_k_heap(&graph, u, k));
+                std::hint::black_box(index.top_k(&graph, u, k).unwrap());
             }
         });
         let (_, t_approx) = time(|| {
             for &u in &sources {
-                std::hint::black_box(index.top_k_approx(&graph, u, k, 0.01));
+                std::hint::black_box(index.top_k_approx(&graph, u, k, 0.01).unwrap());
             }
         });
         println!(
-            "top-k (k=50, per query)   sort {:>9}  heap {:>9}  approx(0.01) {:>9}",
-            fmt_secs(t_sort / sources.len() as f64),
+            "top-k (k=50, per query)   dense {:>9}  heap {:>9}  approx(0.01) {:>9}",
+            fmt_secs(t_dense / sources.len() as f64),
             fmt_secs(t_heap / sources.len() as f64),
             fmt_secs(t_approx / sources.len() as f64),
         );
@@ -668,12 +680,18 @@ fn extensions(opts: &Options) {
         );
 
         // Batch parallel queries (single-source over 64 sources).
-        let (_, t1) = time(|| std::hint::black_box(index.batch_single_source(&graph, &sources, 1)));
+        let (_, t1) =
+            time(|| std::hint::black_box(index.batch_single_source(&graph, &sources, 1).unwrap()));
         let threads = std::thread::available_parallelism()
             .map(|p| p.get())
             .unwrap_or(1);
-        let (_, tp) =
-            time(|| std::hint::black_box(index.batch_single_source(&graph, &sources, threads)));
+        let (_, tp) = time(|| {
+            std::hint::black_box(
+                index
+                    .batch_single_source(&graph, &sources, threads)
+                    .unwrap(),
+            )
+        });
         println!(
             "batch single-source x{}   1 thread {:>9}   {} threads {:>9}  (speed-up {:.2}x)",
             sources.len(),
@@ -717,10 +735,10 @@ fn extensions(opts: &Options) {
         let mut ws = sling_core::QueryWorkspace::new();
         let (_, t_uncached) = time(|| {
             for &(u, v) in &workload {
-                std::hint::black_box(index.single_pair_with(&graph, &mut ws, u, v));
+                std::hint::black_box(index.single_pair_with(&graph, &mut ws, u, v).unwrap());
             }
         });
-        let engine = SharedEngine::from(index.clone());
+        let engine = &index;
         let cache = ShardedResultCache::new(4096, 1);
         let (_, t_cached) = time(|| {
             for &(u, v) in &workload {
@@ -740,7 +758,7 @@ fn extensions(opts: &Options) {
 
         // Disk-resident queries.
         let path = std::env::temp_dir().join(format!("sling_repro_disk_{}", std::process::id()));
-        index.save(&path).unwrap();
+        built.save(&path).unwrap();
         let disk = SharedEngine::open_disk(&graph, &path).unwrap();
         let pairs = sample_pairs(n, if opts.quick { 64 } else { 512 }, 17);
         let (_, t_disk) = time(|| {

@@ -10,7 +10,7 @@ use sling_baselines::linearize::{Linearize, LinearizeConfig};
 use sling_baselines::monte_carlo::{theory_truncation, McIndex};
 use sling_baselines::DenseMatrix;
 use sling_core::single_source::SingleSourceWorkspace;
-use sling_core::{QueryWorkspace, SlingConfig, SlingIndex};
+use sling_core::{HpStore, QueryWorkspace, SharedEngine, SlingConfig};
 use sling_graph::datasets::{DatasetSpec, Tier};
 use sling_graph::{DiGraph, NodeId};
 
@@ -94,8 +94,8 @@ pub fn sample_nodes(n: usize, count: usize, seed: u64) -> Vec<NodeId> {
 }
 
 /// Average per-query seconds of SLING single-pair queries (Algorithm 3).
-pub fn bench_sling_single_pair(
-    index: &SlingIndex,
+pub fn bench_sling_single_pair<S: HpStore>(
+    engine: &SharedEngine<S>,
     graph: &DiGraph,
     pairs: &[(NodeId, NodeId)],
 ) -> f64 {
@@ -103,7 +103,9 @@ pub fn bench_sling_single_pair(
     let (_, secs) = time(|| {
         let mut acc = 0.0;
         for &(u, v) in pairs {
-            acc += index.single_pair_with(graph, &mut ws, u, v);
+            acc += engine
+                .single_pair_with(graph, &mut ws, u, v)
+                .expect("single-pair query");
         }
         std::hint::black_box(acc)
     });
@@ -111,13 +113,19 @@ pub fn bench_sling_single_pair(
 }
 
 /// Average per-query seconds of SLING single-source queries (Algorithm 6).
-pub fn bench_sling_single_source(index: &SlingIndex, graph: &DiGraph, sources: &[NodeId]) -> f64 {
+pub fn bench_sling_single_source<S: HpStore>(
+    engine: &SharedEngine<S>,
+    graph: &DiGraph,
+    sources: &[NodeId],
+) -> f64 {
     let mut ws = SingleSourceWorkspace::new();
     let mut out = Vec::new();
     let (_, secs) = time(|| {
         let mut acc = 0.0;
         for &u in sources {
-            index.single_source_with(graph, &mut ws, u, &mut out);
+            engine
+                .single_source_with(graph, &mut ws, u, &mut out)
+                .expect("single-source query");
             acc += out[0];
         }
         std::hint::black_box(acc)
@@ -125,14 +133,35 @@ pub fn bench_sling_single_source(index: &SlingIndex, graph: &DiGraph, sources: &
     secs / sources.len() as f64
 }
 
+/// The paper's Figure-2 baseline single-source strategy: Algorithm 3
+/// once per node, `O(n/ε)` asymptotically but slower in practice than
+/// Algorithm 6.
+pub fn single_source_via_pairs<S: HpStore>(
+    engine: &SharedEngine<S>,
+    graph: &DiGraph,
+    u: NodeId,
+) -> Vec<f64> {
+    let mut ws = QueryWorkspace::new();
+    graph
+        .nodes()
+        .map(|v| {
+            engine
+                .single_pair_with(graph, &mut ws, u, v)
+                .expect("single-pair query")
+        })
+        .collect()
+}
+
 /// All-pairs SLING score matrix via Algorithm 6 per source row.
-pub fn all_pairs_sling(index: &SlingIndex, graph: &DiGraph) -> DenseMatrix {
+pub fn all_pairs_sling<S: HpStore>(engine: &SharedEngine<S>, graph: &DiGraph) -> DenseMatrix {
     let n = graph.num_nodes();
     let mut m = DenseMatrix::zeros(n);
     let mut ws = SingleSourceWorkspace::new();
     let mut row = Vec::new();
     for u in graph.nodes() {
-        index.single_source_with(graph, &mut ws, u, &mut row);
+        engine
+            .single_source_with(graph, &mut ws, u, &mut row)
+            .expect("single-source query");
         m.row_mut(u.index()).copy_from_slice(&row);
     }
     m
@@ -267,10 +296,11 @@ mod tests {
     fn all_pairs_matrices_agree_with_direct_queries() {
         let g = two_cliques_bridge(4);
         let params = params_for(Tier::Small, Some(0.1));
-        let idx = SlingIndex::build(&g, &sling_config(&params, 1)).unwrap();
-        let m = all_pairs_sling(&idx, &g);
+        let idx = sling_core::SlingIndex::build(&g, &sling_config(&params, 1)).unwrap();
+        let engine = SharedEngine::from(idx);
+        let m = all_pairs_sling(&engine, &g);
         for u in g.nodes() {
-            let row = idx.single_source(&g, u);
+            let row = engine.single_source(&g, u).unwrap();
             for v in g.nodes() {
                 assert_eq!(m.get(u.index(), v.index()), row[v.index()]);
             }

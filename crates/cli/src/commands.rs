@@ -2997,7 +2997,7 @@ pub fn cmd_audit(args: &Args) -> Result<String, String> {
     let graph_path = args.positional(0, "graph")?;
     let index_path = args.positional(1, "index")?;
     let g = load_graph(graph_path)?;
-    let index = load_index(&g, index_path)?;
+    let engine = SharedEngine::from(load_index(&g, index_path)?);
     let audit = if args.switch("exact") {
         if g.num_nodes() > 5000 {
             return Err(format!(
@@ -3005,13 +3005,14 @@ pub fn cmd_audit(args: &Args) -> Result<String, String> {
                 g.num_nodes()
             ));
         }
-        sling_core::verify::audit_exact(&index, &g)
+        sling_core::verify::audit_exact(&engine, &g)
     } else {
         let pairs: usize = args.flag_parse("pairs", 200usize)?;
         let mc: u32 = args.flag_parse("mc", 50_000u32)?;
         let seed: u64 = args.flag_parse("seed", 1u64)?;
-        sling_core::verify::audit_sampled(&index, &g, pairs, mc, seed)
-    };
+        sling_core::verify::audit_sampled(&engine, &g, pairs, mc, seed)
+    }
+    .map_err(|e| e.to_string())?;
     Ok(format!(
         "{audit}\n{}",
         if audit.passed() { "PASS" } else { "FAIL" }

@@ -23,7 +23,7 @@ use sling_graph::{DiGraph, NodeId};
 
 use crate::cache::ShardedResultCache;
 use crate::error::SlingError;
-use crate::index::{QueryWorkspace, SlingIndex};
+use crate::index::QueryWorkspace;
 use crate::single_pair::single_pair_core;
 use crate::single_source::{single_source_core, SingleSourceWorkspace};
 use crate::store::{EngineRef, HpStore, SharedEngine};
@@ -64,19 +64,24 @@ fn record_error(slot: &Mutex<Option<SlingError>>, err: SlingError) {
     }
 }
 
-/// Batched Algorithm 3 over any `Sync` storage backend.
-pub(crate) fn batch_single_pair_core<S: HpStore + Sync>(
-    e: EngineRef<'_, S>,
-    graph: &DiGraph,
-    pairs: &[(NodeId, NodeId)],
+/// Run `query(ws, i)` for every `i < len` on `threads` workers (one
+/// workspace from `new_ws` each) and return the answers in index order.
+/// Workers claim blocks of [`BLOCK`] indices from an atomic cursor and
+/// call `advise(lo..hi)` before each block; every slot is written by
+/// exactly one worker. The first error any worker hits aborts the batch.
+fn run_batch<T: Clone + Default + Send, W>(
+    len: usize,
     threads: usize,
-) -> Result<Vec<f64>, SlingError> {
-    let mut out = vec![0.0; pairs.len()];
-    let threads = threads.max(1).min(pairs.len().max(1));
+    new_ws: impl Fn() -> W + Sync,
+    advise: impl Fn(std::ops::Range<usize>) + Sync,
+    query: impl Fn(&mut W, usize) -> Result<T, SlingError> + Sync,
+) -> Result<Vec<T>, SlingError> {
+    let mut out = vec![T::default(); len];
+    let threads = threads.max(1).min(len.max(1));
     if threads == 1 {
-        let mut ws = QueryWorkspace::new();
-        for (slot, &(u, v)) in out.iter_mut().zip(pairs) {
-            *slot = single_pair_core(e, graph, &mut ws, u, v)?;
+        let mut ws = new_ws();
+        for (i, slot) in out.iter_mut().enumerate() {
+            *slot = query(&mut ws, i)?;
         }
         return Ok(out);
     }
@@ -86,26 +91,18 @@ pub(crate) fn batch_single_pair_core<S: HpStore + Sync>(
     crossbeam::scope(|scope| {
         for _ in 0..threads {
             scope.spawn(|_| {
-                let mut ws = QueryWorkspace::new();
+                let mut ws = new_ws();
                 'outer: loop {
                     let lo = cursor.fetch_add(BLOCK, Ordering::Relaxed);
-                    if lo >= pairs.len() {
+                    if lo >= len {
                         break;
                     }
-                    let hi = (lo + BLOCK).min(pairs.len());
-                    // Advise the backend about the whole claimed block up
-                    // front: out-of-core stores stage all 2·BLOCK entry
-                    // ranges with batched readahead instead of faulting
-                    // them in one query at a time (no-op for resident
-                    // backends).
-                    for &(u, v) in &pairs[lo..hi] {
-                        e.store.prefetch(u);
-                        e.store.prefetch(v);
-                    }
-                    for (i, &(u, v)) in pairs[lo..hi].iter().enumerate() {
-                        match single_pair_core(e, graph, &mut ws, u, v) {
+                    let hi = (lo + BLOCK).min(len);
+                    advise(lo..hi);
+                    for i in lo..hi {
+                        match query(&mut ws, i) {
                             // SAFETY: block [lo, hi) is claimed exactly once.
-                            Ok(s) => unsafe { writer.write(lo + i, s) },
+                            Ok(value) => unsafe { writer.write(i, value) },
                             Err(err) => {
                                 record_error(&first_error, err);
                                 break 'outer;
@@ -123,6 +120,31 @@ pub(crate) fn batch_single_pair_core<S: HpStore + Sync>(
     }
 }
 
+/// Batched Algorithm 3 over any `Sync` storage backend.
+pub(crate) fn batch_single_pair_core<S: HpStore + Sync>(
+    e: EngineRef<'_, S>,
+    graph: &DiGraph,
+    pairs: &[(NodeId, NodeId)],
+    threads: usize,
+) -> Result<Vec<f64>, SlingError> {
+    run_batch(
+        pairs.len(),
+        threads,
+        QueryWorkspace::new,
+        // Advise the backend about the whole claimed block up front:
+        // out-of-core stores stage all 2·BLOCK entry ranges with batched
+        // readahead instead of faulting them in one query at a time
+        // (no-op for resident backends).
+        |block| {
+            for &(u, v) in &pairs[block] {
+                e.store.prefetch(u);
+                e.store.prefetch(v);
+            }
+        },
+        |ws, i| single_pair_core(e, graph, ws, pairs[i].0, pairs[i].1),
+    )
+}
+
 /// Batched Algorithm 6 over any `Sync` storage backend.
 pub(crate) fn batch_single_source_core<S: HpStore + Sync>(
     e: EngineRef<'_, S>,
@@ -130,48 +152,17 @@ pub(crate) fn batch_single_source_core<S: HpStore + Sync>(
     sources: &[NodeId],
     threads: usize,
 ) -> Result<Vec<Vec<f64>>, SlingError> {
-    let mut out: Vec<Vec<f64>> = vec![Vec::new(); sources.len()];
-    let threads = threads.max(1).min(sources.len().max(1));
-    if threads == 1 {
-        let mut ws = SingleSourceWorkspace::new();
-        for (slot, &u) in out.iter_mut().zip(sources) {
-            single_source_core(e, graph, &mut ws, u, slot)?;
-        }
-        return Ok(out);
-    }
-    let cursor = AtomicUsize::new(0);
-    let first_error: Mutex<Option<SlingError>> = Mutex::new(None);
-    let writer = SlotWriter::new(&mut out);
-    crossbeam::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|_| {
-                let mut ws = SingleSourceWorkspace::new();
-                'outer: loop {
-                    let lo = cursor.fetch_add(BLOCK, Ordering::Relaxed);
-                    if lo >= sources.len() {
-                        break;
-                    }
-                    let hi = (lo + BLOCK).min(sources.len());
-                    for (i, &u) in sources[lo..hi].iter().enumerate() {
-                        let mut scores = Vec::new();
-                        match single_source_core(e, graph, &mut ws, u, &mut scores) {
-                            // SAFETY: block [lo, hi) is claimed exactly once.
-                            Ok(()) => unsafe { writer.write(lo + i, scores) },
-                            Err(err) => {
-                                record_error(&first_error, err);
-                                break 'outer;
-                            }
-                        }
-                    }
-                }
-            });
-        }
-    })
-    .expect("batch query worker panicked");
-    match first_error.into_inner() {
-        Some(err) => Err(err),
-        None => Ok(out),
-    }
+    run_batch(
+        sources.len(),
+        threads,
+        SingleSourceWorkspace::new,
+        |_| {},
+        |ws, i| {
+            let mut scores = Vec::new();
+            single_source_core(e, graph, ws, sources[i], &mut scores)?;
+            Ok(scores)
+        },
+    )
 }
 
 impl<S: HpStore + Sync> SharedEngine<S> {
@@ -194,85 +185,13 @@ impl<S: HpStore + Sync> SharedEngine<S> {
         threads: usize,
         cache: &ShardedResultCache,
     ) -> Result<Vec<f64>, SlingError> {
-        let mut out = vec![0.0; pairs.len()];
-        let threads = threads.max(1).min(pairs.len().max(1));
-        let run_one = |ws: &mut QueryWorkspace, u: NodeId, v: NodeId| {
-            self.single_pair_cached(graph, ws, cache, u, v)
-        };
-        if threads == 1 {
-            let mut ws = QueryWorkspace::new();
-            for (slot, &(u, v)) in out.iter_mut().zip(pairs) {
-                *slot = run_one(&mut ws, u, v)?;
-            }
-            return Ok(out);
-        }
-        let cursor = AtomicUsize::new(0);
-        let first_error: Mutex<Option<SlingError>> = Mutex::new(None);
-        let writer = SlotWriter::new(&mut out);
-        crossbeam::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|_| {
-                    let mut ws = QueryWorkspace::new();
-                    'outer: loop {
-                        let lo = cursor.fetch_add(BLOCK, Ordering::Relaxed);
-                        if lo >= pairs.len() {
-                            break;
-                        }
-                        let hi = (lo + BLOCK).min(pairs.len());
-                        for (i, &(u, v)) in pairs[lo..hi].iter().enumerate() {
-                            match run_one(&mut ws, u, v) {
-                                // SAFETY: block [lo, hi) is claimed exactly once.
-                                Ok(s) => unsafe { writer.write(lo + i, s) },
-                                Err(err) => {
-                                    record_error(&first_error, err);
-                                    break 'outer;
-                                }
-                            }
-                        }
-                    }
-                });
-            }
-        })
-        .expect("batch query worker panicked");
-        match first_error.into_inner() {
-            Some(err) => Err(err),
-            None => Ok(out),
-        }
-    }
-}
-
-impl SlingIndex {
-    /// Evaluate a batch of single-pair queries on `threads` workers.
-    /// Results are positionally aligned with `pairs` and identical to
-    /// the serial answers.
-    pub fn batch_single_pair(
-        &self,
-        graph: &DiGraph,
-        pairs: &[(NodeId, NodeId)],
-        threads: usize,
-    ) -> Vec<f64> {
-        batch_single_pair_core(self.engine_ref(), graph, pairs, threads)
-            .expect("in-memory HP store cannot fail")
-    }
-
-    /// Evaluate single-source queries from every node in `sources` on
-    /// `threads` workers; `result[i]` is the full score vector of
-    /// `sources[i]`.
-    pub fn batch_single_source(
-        &self,
-        graph: &DiGraph,
-        sources: &[NodeId],
-        threads: usize,
-    ) -> Vec<Vec<f64>> {
-        batch_single_source_core(self.engine_ref(), graph, sources, threads)
-            .expect("in-memory HP store cannot fail")
-    }
-
-    /// All-pairs scores as `n` single-source rows (the Figures 5–7
-    /// protocol), parallelized over sources.
-    pub fn all_pairs(&self, graph: &DiGraph, threads: usize) -> Vec<Vec<f64>> {
-        let sources: Vec<NodeId> = graph.nodes().collect();
-        self.batch_single_source(graph, &sources, threads)
+        run_batch(
+            pairs.len(),
+            threads,
+            QueryWorkspace::new,
+            |_| {},
+            |ws, i| self.single_pair_cached(graph, ws, cache, pairs[i].0, pairs[i].1),
+        )
     }
 }
 
@@ -280,12 +199,16 @@ impl SlingIndex {
 mod tests {
     use super::*;
     use crate::config::SlingConfig;
+    use crate::hp::HpArena;
+    use crate::index::SlingIndex;
     use sling_graph::generators::{barabasi_albert, two_cliques_bridge};
 
     const C: f64 = 0.6;
 
-    fn build(g: &DiGraph) -> SlingIndex {
-        SlingIndex::build(g, &SlingConfig::from_epsilon(C, 0.1).with_seed(21)).unwrap()
+    fn build(g: &DiGraph) -> SharedEngine<HpArena> {
+        SharedEngine::from(
+            SlingIndex::build(g, &SlingConfig::from_epsilon(C, 0.1).with_seed(21)).unwrap(),
+        )
     }
 
     #[test]
@@ -295,9 +218,9 @@ mod tests {
         let pairs: Vec<(NodeId, NodeId)> = (0..257u32)
             .map(|i| (NodeId(i % 300), NodeId((i * 7 + 1) % 300)))
             .collect();
-        let serial = idx.batch_single_pair(&g, &pairs, 1);
+        let serial = idx.batch_single_pair(&g, &pairs, 1).unwrap();
         for threads in [2, 3, 8] {
-            let parallel = idx.batch_single_pair(&g, &pairs, threads);
+            let parallel = idx.batch_single_pair(&g, &pairs, threads).unwrap();
             assert_eq!(serial, parallel, "threads = {threads}");
         }
     }
@@ -307,12 +230,12 @@ mod tests {
         let g = two_cliques_bridge(6);
         let idx = build(&g);
         let sources: Vec<NodeId> = g.nodes().collect();
-        let serial = idx.batch_single_source(&g, &sources, 1);
-        let parallel = idx.batch_single_source(&g, &sources, 4);
+        let serial = idx.batch_single_source(&g, &sources, 1).unwrap();
+        let parallel = idx.batch_single_source(&g, &sources, 4).unwrap();
         assert_eq!(serial, parallel);
         // And each row matches the direct query.
         for (i, &u) in sources.iter().enumerate() {
-            assert_eq!(serial[i], idx.single_source(&g, u));
+            assert_eq!(serial[i], idx.single_source(&g, u).unwrap());
         }
     }
 
@@ -320,7 +243,8 @@ mod tests {
     fn all_pairs_is_square_and_diagonal_one() {
         let g = two_cliques_bridge(4);
         let idx = build(&g);
-        let all = idx.all_pairs(&g, 3);
+        let sources: Vec<NodeId> = g.nodes().collect();
+        let all = idx.batch_single_source(&g, &sources, 3).unwrap();
         assert_eq!(all.len(), 8);
         for (i, row) in all.iter().enumerate() {
             assert_eq!(row.len(), 8);
@@ -332,8 +256,8 @@ mod tests {
     fn empty_batches_are_fine() {
         let g = two_cliques_bridge(3);
         let idx = build(&g);
-        assert!(idx.batch_single_pair(&g, &[], 4).is_empty());
-        assert!(idx.batch_single_source(&g, &[], 4).is_empty());
+        assert!(idx.batch_single_pair(&g, &[], 4).unwrap().is_empty());
+        assert!(idx.batch_single_source(&g, &[], 4).unwrap().is_empty());
     }
 
     #[test]
@@ -348,10 +272,10 @@ mod tests {
             .iter()
             .map(|&(u, v)| {
                 let (a, b) = (u.0.min(v.0), u.0.max(v.0));
-                idx.single_pair(&g, NodeId(a), NodeId(b))
+                idx.single_pair(&g, NodeId(a), NodeId(b)).unwrap()
             })
             .collect();
-        let engine: SharedEngine<crate::hp::HpArena> = idx.into();
+        let engine = idx;
         for threads in [1, 4, 8] {
             let cache = ShardedResultCache::new(128, 8);
             let got = engine
@@ -382,8 +306,8 @@ mod tests {
         let g = two_cliques_bridge(3);
         let idx = build(&g);
         let pairs = vec![(NodeId(0), NodeId(1))];
-        let got = idx.batch_single_pair(&g, &pairs, 64);
+        let got = idx.batch_single_pair(&g, &pairs, 64).unwrap();
         assert_eq!(got.len(), 1);
-        assert_eq!(got[0], idx.single_pair(&g, NodeId(0), NodeId(1)));
+        assert_eq!(got[0], idx.single_pair(&g, NodeId(0), NodeId(1)).unwrap());
     }
 }

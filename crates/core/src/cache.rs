@@ -11,13 +11,13 @@
 //!
 //! Two layers live here:
 //!
-//! * [`LruList`] *(crate-internal)* — an open-hash map over an intrusive
+//! * `LruList` *(crate-internal)* — an open-hash map over an intrusive
 //!   doubly-linked LRU list, built on the workspace's [`FxHashMap`]; all
 //!   operations `O(1)` expected, no external LRU crate. It backs every
 //!   LRU in the crate: the result cache below and the shards of the
 //!   engine's §5.2 restore cache (`store::RestoreCache`).
 //! * [`ShardedResultCache`] — a `Sync` global result cache: N
-//!   power-of-two shards, each an independently locked [`LruList`], with
+//!   power-of-two shards, each an independently locked `LruList`, with
 //!   [`AtomicCacheStats`] counters that stay exact under concurrency.
 //!   This is what a long-lived server shares across its worker threads
 //!   (see `sling-server`), what the cached batch path
@@ -481,7 +481,7 @@ struct EpochSlot {
 ///
 /// The cache is pure shared state — `get`/`insert` take `&self` —
 /// split into a power-of-two number of shards, each an independently
-/// locked [`LruList`], so concurrent queries for different keys proceed
+/// locked `LruList`, so concurrent queries for different keys proceed
 /// in parallel and hot-key traffic contends only on its own shard.
 /// Counters are [`AtomicCacheStats`], exact under concurrency.
 ///
@@ -998,8 +998,8 @@ mod tests {
                 .with_exact_diagonal(false),
         )
         .unwrap();
-        let want = idx.single_pair(&g, NodeId(3), NodeId(3));
         let engine: SharedEngine<HpArena> = idx.into();
+        let want = engine.single_pair(&g, NodeId(3), NodeId(3)).unwrap();
         let cache = ShardedResultCache::with_capacity(16);
         let mut ws = QueryWorkspace::new();
         let first = engine
@@ -1112,8 +1112,8 @@ mod tests {
     #[test]
     fn tagged_engine_queries_respect_a_mid_query_swap() {
         let (g, idx) = setup();
-        let want = idx.single_pair(&g, NodeId(0), NodeId(1));
         let engine: SharedEngine<HpArena> = idx.into();
+        let want = engine.single_pair(&g, NodeId(0), NodeId(1)).unwrap();
         let cache = ShardedResultCache::with_capacity(16);
         let mut ws = QueryWorkspace::new();
         // Simulate: epoch captured at 0, swap to 1 mid-compute. The
@@ -1158,7 +1158,7 @@ mod tests {
     #[test]
     fn engine_cached_single_pair_is_order_independent_and_exact() {
         let (g, idx) = setup();
-        let reference = idx.clone();
+        let reference: SharedEngine<HpArena> = idx.clone().into();
         let engine: SharedEngine<HpArena> = idx.into();
         let cache = ShardedResultCache::with_capacity(64);
         let mut ws = QueryWorkspace::new();
@@ -1169,7 +1169,7 @@ mod tests {
                     .unwrap();
                 // Canonical order makes both query orders bit-identical.
                 let (a, b) = (u.0.min(v.0), u.0.max(v.0));
-                let want = reference.single_pair(&g, NodeId(a), NodeId(b));
+                let want = reference.single_pair(&g, NodeId(a), NodeId(b)).unwrap();
                 assert_eq!(got, want, "({u:?},{v:?})");
             }
         }
@@ -1180,12 +1180,13 @@ mod tests {
     #[test]
     fn sharded_cache_concurrent_hammer_is_consistent() {
         let (g, idx) = setup();
+        let reference: SharedEngine<HpArena> = idx.clone().into();
         let serial: Vec<((u32, u32), f64)> = {
             let mut out = Vec::new();
             for u in g.nodes() {
                 for v in g.nodes() {
                     if u.0 < v.0 {
-                        out.push(((u.0, v.0), idx.single_pair(&g, u, v)));
+                        out.push(((u.0, v.0), reference.single_pair(&g, u, v).unwrap()));
                     }
                 }
             }

@@ -31,7 +31,9 @@ use sling_graph::{DiGraph, NodeId};
 
 use crate::config::SlingConfig;
 use crate::error::SlingError;
+use crate::hp::HpArena;
 use crate::index::SlingIndex;
+use crate::store::SharedEngine;
 use crate::walk::{task_rng, WalkEngine};
 
 /// What to do when a query touches the tainted region of the graph.
@@ -99,8 +101,8 @@ pub struct DynamicSling {
     out_adj: Vec<Vec<NodeId>>,
     in_adj: Vec<Vec<NodeId>>,
     num_edges: usize,
-    /// Index and the snapshot it was built from.
-    index: SlingIndex,
+    /// Engine over the index, and the snapshot the index was built from.
+    engine: SharedEngine<HpArena>,
     snapshot: DiGraph,
     /// Materialized current graph, invalidated by updates.
     current: Option<DiGraph>,
@@ -135,7 +137,7 @@ fn sorted_remove(list: &mut Vec<NodeId>, v: NodeId) -> bool {
 impl DynamicSling {
     /// Build the initial index over `graph`.
     pub fn new(graph: &DiGraph, cfg: DynamicConfig) -> Result<Self, SlingError> {
-        let index = SlingIndex::build(graph, &cfg.config)?;
+        let engine = SharedEngine::from(SlingIndex::build(graph, &cfg.config)?);
         let out_adj: Vec<Vec<NodeId>> = graph
             .nodes()
             .map(|v| graph.out_neighbors(v).to_vec())
@@ -148,7 +150,7 @@ impl DynamicSling {
             num_edges: graph.num_edges(),
             out_adj,
             in_adj,
-            index,
+            engine,
             snapshot: graph.clone(),
             current: None,
             dirty: Vec::new(),
@@ -262,15 +264,24 @@ impl DynamicSling {
     }
 
     /// Rebuild the index from the current graph, clearing all staleness.
+    /// The new engine starts with its own restore state, so nothing
+    /// restored from the old graph survives.
     pub fn rebuild(&mut self) -> Result<(), SlingError> {
+        self.engine = SharedEngine::from(self.rebuild_index()?);
+        Ok(())
+    }
+
+    /// Build a fresh index over the current graph and make that graph the
+    /// snapshot; the caller must install the index as the engine.
+    fn rebuild_index(&mut self) -> Result<SlingIndex, SlingError> {
         self.current_graph();
         let graph = self.current.clone().expect("materialized above");
-        self.index = SlingIndex::build(&graph, &self.cfg.config)?;
+        let index = SlingIndex::build(&graph, &self.cfg.config)?;
         self.snapshot = graph;
         self.dirty.clear();
         self.tainted = None;
         self.updates_since_build = 0;
-        Ok(())
+        Ok(index)
     }
 
     /// Rebuild from the current graph and **publish the result into a
@@ -290,8 +301,12 @@ impl DynamicSling {
         &mut self,
         store: &crate::lifecycle::GenerationStore,
     ) -> Result<crate::lifecycle::GenId, SlingError> {
-        self.rebuild()?;
-        let gen = store.publish_index(&self.index, Some(&self.snapshot))?;
+        let index = self.rebuild_index()?;
+        let published = store.publish_index(&index, Some(&self.snapshot));
+        // Install the engine before reporting a publish error: the
+        // snapshot has already moved to the new graph.
+        self.engine = SharedEngine::from(index);
+        let gen = published?;
         store.promote(gen)?;
         Ok(gen)
     }
@@ -356,12 +371,12 @@ impl DynamicSling {
         }
         let fresh = !self.is_tainted(u) && !self.is_tainted(v);
         if fresh {
-            return Ok(self.index.single_pair(&self.snapshot, u, v));
+            return self.engine.single_pair(&self.snapshot, u, v);
         }
         match self.cfg.policy {
             StalePolicy::Rebuild => {
                 self.rebuild()?;
-                Ok(self.index.single_pair(&self.snapshot, u, v))
+                self.engine.single_pair(&self.snapshot, u, v)
             }
             StalePolicy::MonteCarloFallback { delta } => {
                 let eps = self.cfg.config.epsilon;
@@ -377,7 +392,7 @@ impl DynamicSling {
             }
             StalePolicy::ServeStale => {
                 if u.index() < self.snapshot.num_nodes() && v.index() < self.snapshot.num_nodes() {
-                    Ok(self.index.single_pair(&self.snapshot, u, v))
+                    self.engine.single_pair(&self.snapshot, u, v)
                 } else {
                     // The stale index predates these nodes entirely; zero
                     // is the only consistent stale answer.
@@ -403,7 +418,7 @@ impl DynamicSling {
             out[u.index()] = 1.0;
             return Ok(out);
         }
-        let mut out = self.index.single_source(&self.snapshot, u);
+        let mut out = self.engine.single_source(&self.snapshot, u)?;
         out.resize(self.num_nodes(), 0.0);
         Ok(out)
     }
@@ -420,10 +435,10 @@ mod tests {
         DynamicConfig::new(SlingConfig::from_epsilon(C, eps).with_seed(7))
     }
 
-    fn fresh_index(dyn_idx: &mut DynamicSling) -> (SlingIndex, DiGraph) {
+    fn fresh_engine(dyn_idx: &mut DynamicSling) -> (SharedEngine<HpArena>, DiGraph) {
         let g = dyn_idx.current_graph().clone();
         let idx = SlingIndex::build(&g, dyn_idx.config()).unwrap();
-        (idx, g)
+        (SharedEngine::from(idx), g)
     }
 
     #[test]
@@ -487,10 +502,10 @@ mod tests {
         d.insert_edge(NodeId(0), NodeId(50)).unwrap();
         d.insert_edge(NodeId(50), NodeId(13)).unwrap();
         d.remove_edge(NodeId(1), NodeId(0)).ok();
-        let (fresh, fg) = fresh_index(&mut d);
+        let (fresh, fg) = fresh_engine(&mut d);
         // Tainted query triggers rebuild with the same seed => identical.
         let got = d.single_pair(NodeId(0), NodeId(50)).unwrap();
-        let want = fresh.single_pair(&fg, NodeId(0), NodeId(50));
+        let want = fresh.single_pair(&fg, NodeId(0), NodeId(50)).unwrap();
         assert_eq!(got, want);
         assert_eq!(d.pending_updates(), 0, "rebuild cleared the log");
     }
@@ -528,10 +543,10 @@ mod tests {
         d.insert_edge(NodeId(2), NodeId(7)).unwrap(); // crosses 20% churn
         assert_eq!(d.pending_updates(), 0, "auto-rebuild fired");
         // And the rebuilt index answers on the new topology.
-        let (fresh, fg) = fresh_index(&mut d);
+        let (fresh, fg) = fresh_engine(&mut d);
         assert_eq!(
             d.single_pair(NodeId(0), NodeId(1)).unwrap(),
-            fresh.single_pair(&fg, NodeId(0), NodeId(1))
+            fresh.single_pair(&fg, NodeId(0), NodeId(1)).unwrap()
         );
     }
 
@@ -574,9 +589,9 @@ mod tests {
         // The promoted generation is self-contained: its graph snapshot
         // plus index answer bit-identically to the wrapper.
         let snap = store.load_graph(gen).unwrap().expect("graph co-located");
-        let served = SlingIndex::load(&snap, store.index_path(gen)).unwrap();
+        let served = SharedEngine::from(SlingIndex::load(&snap, store.index_path(gen)).unwrap());
         assert_eq!(
-            served.single_pair(&snap, NodeId(0), NodeId(50)),
+            served.single_pair(&snap, NodeId(0), NodeId(50)).unwrap(),
             d.single_pair(NodeId(0), NodeId(50)).unwrap()
         );
 
@@ -613,9 +628,73 @@ mod tests {
         c.rebuild_fraction = f64::INFINITY;
         let mut d = DynamicSling::new(&g, c).unwrap();
         d.insert_edge(NodeId(0), NodeId(30)).unwrap();
-        let (fresh, fg) = fresh_index(&mut d);
+        let (fresh, fg) = fresh_engine(&mut d);
         let got = d.single_source(NodeId(0)).unwrap();
-        let want = fresh.single_source(&fg, NodeId(0));
+        let want = fresh.single_source(&fg, NodeId(0)).unwrap();
         assert_eq!(got, want);
+    }
+
+    /// Pair and source answers on §5.2-reduced hubs warm the engine's
+    /// restore cache; after an edge insert and a rebuild, every answer
+    /// must come from the new graph, bit for bit, with no restored list
+    /// of the old graph served.
+    #[test]
+    fn rebuild_drops_the_restore_cache() {
+        let g = barabasi_albert(300, 3, 21).unwrap();
+        let mut c = cfg(0.1);
+        c.policy = StalePolicy::ServeStale;
+        c.rebuild_fraction = f64::INFINITY;
+        let mut d = DynamicSling::new(&g, c).unwrap();
+        assert_eq!(
+            d.engine.restore_policy(),
+            crate::store::RestorePolicy::Cache
+        );
+        let mut hubs: Vec<NodeId> = g
+            .nodes()
+            .filter(|&v| d.engine.engine_ref().reduced[v.index()])
+            .collect();
+        hubs.sort_by_key(|&v| std::cmp::Reverse(g.in_degree(v)));
+        hubs.truncate(4);
+        assert!(hubs.len() == 4, "fixture has too few reduced nodes");
+        let probe: Vec<(NodeId, NodeId)> = hubs
+            .iter()
+            .flat_map(|&a| hubs.iter().map(move |&b| (a, b)))
+            .filter(|(a, b)| a != b)
+            .collect();
+        for &(a, b) in &probe {
+            d.single_pair(a, b).unwrap();
+        }
+        for &h in &hubs {
+            d.single_source(h).unwrap();
+        }
+        // Reverse-link the two biggest hubs' in-neighbourhoods: both
+        // hubs' steps 1-2 change, so a stale restored list would differ.
+        let (h0, h1) = (hubs[0], hubs[1]);
+        let extra = g
+            .in_neighbors(h1)
+            .iter()
+            .copied()
+            .find(|&x| x != h0 && !g.in_neighbors(h0).contains(&x))
+            .expect("a new in-neighbour for the top hub");
+        assert!(d.insert_edge(extra, h0).unwrap());
+        d.rebuild().unwrap();
+        let (fresh, fg) = fresh_engine(&mut d);
+        for &(a, b) in &probe {
+            assert_eq!(
+                d.single_pair(a, b).unwrap().to_bits(),
+                fresh.single_pair(&fg, a, b).unwrap().to_bits(),
+                "pair ({a:?},{b:?})"
+            );
+        }
+        for &h in &hubs {
+            let got = d.single_source(h).unwrap();
+            let want = fresh.single_source(&fg, h).unwrap();
+            assert!(
+                got.iter()
+                    .zip(&want)
+                    .all(|(x, y)| x.to_bits() == y.to_bits()),
+                "source {h:?}"
+            );
+        }
     }
 }

@@ -231,6 +231,7 @@ mod tests {
     use crate::config::SlingConfig;
     use crate::index::SlingIndex;
     use crate::reference::exact_hp_to_target;
+    use crate::store::SharedEngine;
     use sling_graph::generators::two_cliques_bridge;
 
     fn cfg() -> SlingConfig {
@@ -265,10 +266,11 @@ mod tests {
     fn expansion_never_overestimates_true_hp() {
         let g = two_cliques_bridge(5);
         let config = cfg();
-        let idx = SlingIndex::build(&g, &config).unwrap();
+        let engine = SharedEngine::from(SlingIndex::build(&g, &config).unwrap());
         let mut ws = QueryWorkspace::new();
         for v in g.nodes() {
-            idx.effective_entries(&g, v, &mut ws, Buf::A);
+            crate::index::effective_entries_into(engine.engine_ref(), &g, v, &mut ws, Buf::A)
+                .unwrap();
             assert!(ws.buf_a.windows(2).all(|w| w[0].key() < w[1].key()));
             for e in &ws.buf_a {
                 let exact = exact_hp_to_target(&g, config.c, e.node, e.step);
@@ -287,13 +289,16 @@ mod tests {
     #[test]
     fn enhancement_never_shrinks_effective_lists() {
         let g = two_cliques_bridge(5);
-        let plain = SlingIndex::build(&g, &cfg().with_enhancement(false)).unwrap();
-        let enhanced = SlingIndex::build(&g, &cfg()).unwrap();
+        let plain =
+            SharedEngine::from(SlingIndex::build(&g, &cfg().with_enhancement(false)).unwrap());
+        let enhanced = SharedEngine::from(SlingIndex::build(&g, &cfg()).unwrap());
         let mut ws = QueryWorkspace::new();
         for v in g.nodes() {
-            enhanced.effective_entries(&g, v, &mut ws, Buf::A);
+            crate::index::effective_entries_into(enhanced.engine_ref(), &g, v, &mut ws, Buf::A)
+                .unwrap();
             let with = ws.buf_a.len();
-            plain.effective_entries(&g, v, &mut ws, Buf::A);
+            crate::index::effective_entries_into(plain.engine_ref(), &g, v, &mut ws, Buf::A)
+                .unwrap();
             let without = ws.buf_a.len();
             assert!(with >= without);
         }
@@ -325,7 +330,14 @@ mod tests {
         assert!(idx.stored_entries(z).all(|e| e.step != 2));
         // ...but the effective list contains an expanded one.
         let mut ws = QueryWorkspace::new();
-        idx.effective_entries(&g, z, &mut ws, Buf::A);
+        crate::index::effective_entries_into(
+            SharedEngine::from(idx).engine_ref(),
+            &g,
+            z,
+            &mut ws,
+            Buf::A,
+        )
+        .unwrap();
         let expanded: Vec<_> = ws.buf_a.iter().filter(|e| e.step == 2).collect();
         assert!(!expanded.is_empty(), "expansion should add a step-2 entry");
         for e in &expanded {

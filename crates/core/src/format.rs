@@ -83,7 +83,7 @@
 //! dictionary for v3), so the compressed mmap and disk backends
 //! ([`crate::store::CompressedMmapArena`],
 //! [`crate::out_of_core::DiskHpStore`]) decode only the blocks a query's
-//! entry range touches. [`decode_meta`] validates everything **up to**
+//! entry range touches. `decode_meta` validates everything **up to**
 //! the entry payload — including the block directory and the v3 global
 //! dictionary — and reports the payload geometry, which is all the
 //! zero-copy backends need; none ever decodes the full payload at open.
@@ -965,6 +965,7 @@ impl SlingIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::SharedEngine;
     use sling_graph::generators::{barabasi_albert, two_cliques_bridge};
     use sling_graph::NodeId;
 
@@ -986,10 +987,11 @@ mod tests {
         assert_eq!(idx.marks, back.marks);
         assert_eq!(idx.config, back.config);
         // Queries agree exactly.
+        let (idx, back) = (SharedEngine::from(idx), SharedEngine::from(back));
         for (u, v) in [(0u32, 1u32), (5, 80), (119, 3)] {
             assert_eq!(
-                idx.single_pair(&g, NodeId(u), NodeId(v)),
-                back.single_pair(&g, NodeId(u), NodeId(v))
+                idx.single_pair(&g, NodeId(u), NodeId(v)).unwrap(),
+                back.single_pair(&g, NodeId(u), NodeId(v)).unwrap()
             );
         }
     }

@@ -152,36 +152,6 @@ impl SlingIndex {
             + self.reduced.len()
             + self.marks.resident_bytes()
     }
-
-    /// Materialize the *effective* entry list of `v` used by queries
-    /// (see [`effective_entries_into`]). In-memory convenience wrapper,
-    /// retained for the unit tests that inspect effective lists directly.
-    #[cfg(test)]
-    pub(crate) fn effective_entries(
-        &self,
-        graph: &DiGraph,
-        v: NodeId,
-        ws: &mut QueryWorkspace,
-        which: Buf,
-    ) {
-        debug_assert_eq!(graph.num_nodes(), self.num_nodes, "wrong graph for index");
-        effective_entries_into(self.engine_ref(), graph, v, ws, which)
-            .expect("in-memory HP store cannot fail");
-    }
-
-    /// Internal engine view over the in-memory arena. The convenience
-    /// API carries no restore cache — hold a [`crate::SharedEngine`] for
-    /// memoized restores.
-    pub(crate) fn engine_ref(&self) -> EngineRef<'_, HpArena> {
-        EngineRef {
-            store: &self.hp,
-            config: &self.config,
-            d: &self.d,
-            reduced: &self.reduced,
-            marks: &self.marks,
-            restore_cache: None,
-        }
-    }
 }
 
 /// Materialize the *effective* entry list of `v` used by queries into the
@@ -239,7 +209,8 @@ pub(crate) enum Buf {
 /// Where a restored effective list ended up (see [`resolve_restored`]).
 pub(crate) enum RestoredList {
     /// Materialized into the selected workspace buffer (no cache on this
-    /// engine ref — the bare `SlingIndex` path).
+    /// engine ref: the engine streams, see
+    /// [`crate::store::RestorePolicy::Stream`]).
     Workspace,
     /// Served from (or freshly admitted to) the engine's
     /// [`crate::store::RestoreCache`]; borrow the list from the `Arc`.
@@ -577,9 +548,10 @@ mod tests {
         let g = two_cliques_bridge(6);
         let with = SlingIndex::build(&g, &cfg(0.05)).unwrap();
         let without = SlingIndex::build(&g, &cfg(0.05).with_space_reduction(false)).unwrap();
+        let with_engine = crate::SharedEngine::from(with);
         let mut ws = QueryWorkspace::new();
         for v in g.nodes() {
-            with.effective_entries(&g, v, &mut ws, Buf::A);
+            effective_entries_into(with_engine.engine_ref(), &g, v, &mut ws, Buf::A).unwrap();
             // Effective list is sorted and its step-1/2 entries are exact,
             // hence >= the truncated stored values of the unreduced index.
             assert!(ws.buf_a.windows(2).all(|w| w[0].key() < w[1].key()));
@@ -631,11 +603,13 @@ mod tests {
         }
         // Trimming must not corrupt subsequent queries.
         let g = two_cliques_bridge(4);
-        let idx = SlingIndex::build(&g, &cfg(0.05)).unwrap();
-        let want = idx.single_pair(&g, NodeId(0), NodeId(1));
+        let idx = crate::SharedEngine::from(SlingIndex::build(&g, &cfg(0.05)).unwrap());
+        let want = idx.single_pair(&g, NodeId(0), NodeId(1)).unwrap();
         let mut out = 0.0;
         for _ in 0..2 {
-            out = idx.single_pair_with(&g, &mut ws, NodeId(0), NodeId(1));
+            out = idx
+                .single_pair_with(&g, &mut ws, NodeId(0), NodeId(1))
+                .unwrap();
             ws.trim_excess();
         }
         assert_eq!(out, want);

@@ -5,9 +5,9 @@
 //! threshold" — as a major SimRank query class. The SLING index answers
 //! both without any additional precomputation:
 //!
-//! * [`SlingIndex::threshold_join`] — every unordered pair `{u, v}` with
+//! * [`crate::SharedEngine::threshold_join`] — every unordered pair `{u, v}` with
 //!   `s̃(u, v) ≥ tau`.
-//! * [`SlingIndex::top_k_join`] — the `k` unordered pairs with the highest
+//! * [`crate::SharedEngine::top_k_join`] — the `k` unordered pairs with the highest
 //!   scores.
 //!
 //! Two execution strategies are provided:
@@ -37,7 +37,7 @@
 use sling_graph::{DiGraph, NodeId};
 
 use crate::error::SlingError;
-use crate::index::{effective_entries_into, Buf, QueryWorkspace, SlingIndex};
+use crate::index::{effective_entries_into, Buf, QueryWorkspace};
 use crate::single_source::{accumulate, SingleSourceWorkspace};
 use crate::store::{EngineRef, HpStore};
 
@@ -72,55 +72,8 @@ fn sort_pairs(pairs: &mut [JoinPair]) {
     });
 }
 
-impl SlingIndex {
-    /// All unordered pairs `{u, v}` (`u ≠ v`) with `s̃(u, v) ≥ tau`,
-    /// ordered by descending score (ties: ascending `(u, v)`).
-    ///
-    /// `tau` must be positive: a zero threshold would ask for all `n(n-1)/2`
-    /// pairs, which is never the intent of a similarity join.
-    ///
-    /// ```
-    /// use sling_core::join::JoinStrategy;
-    /// use sling_core::{SlingConfig, SlingIndex};
-    /// use sling_graph::generators::two_cliques_bridge;
-    ///
-    /// let g = two_cliques_bridge(4);
-    /// let index = SlingIndex::build(&g, &SlingConfig::from_epsilon(0.6, 0.05)).unwrap();
-    /// let pairs = index.threshold_join(&g, 0.1, JoinStrategy::PerSource).unwrap();
-    /// assert!(pairs.iter().all(|p| p.score >= 0.1 && p.u < p.v));
-    /// ```
-    pub fn threshold_join(
-        &self,
-        graph: &DiGraph,
-        tau: f64,
-        strategy: JoinStrategy,
-    ) -> Result<Vec<JoinPair>, SlingError> {
-        threshold_join_core(self.engine_ref(), graph, tau, strategy)
-    }
-
-    /// The `k` unordered pairs with the largest scores (self-pairs
-    /// excluded, matching the paper's top-k evaluation protocol), ordered
-    /// by descending score.
-    ///
-    /// `prune` is a score threshold below which pairs can be discarded
-    /// early; pass the smallest score still of interest (e.g. the paper's
-    /// Figure 7 protocol only ranks pairs with non-negligible scores) or
-    /// a tiny positive value for an exact global top-k over nonzero pairs.
-    pub fn top_k_join(
-        &self,
-        graph: &DiGraph,
-        k: usize,
-        prune: f64,
-        strategy: JoinStrategy,
-    ) -> Result<Vec<JoinPair>, SlingError> {
-        let mut pairs = self.threshold_join(graph, prune.max(f64::MIN_POSITIVE), strategy)?;
-        pairs.truncate(k);
-        Ok(pairs)
-    }
-}
-
 /// Similarity join over any storage backend (see
-/// [`SlingIndex::threshold_join`] for the contract).
+/// [`crate::SharedEngine::threshold_join`] for the contract).
 pub(crate) fn threshold_join_core<S: HpStore>(
     e: EngineRef<'_, S>,
     graph: &DiGraph,
@@ -221,15 +174,20 @@ fn join_inverted<S: HpStore>(
 mod tests {
     use super::*;
     use crate::config::SlingConfig;
+    use crate::hp::HpArena;
+    use crate::index::SlingIndex;
     use crate::reference::exact_simrank;
+    use crate::store::SharedEngine;
     use sling_graph::generators::{
         barabasi_albert, complete_graph, cycle_graph, star_graph, two_cliques_bridge,
     };
 
     const C: f64 = 0.6;
 
-    fn build(g: &DiGraph, eps: f64) -> SlingIndex {
-        SlingIndex::build(g, &SlingConfig::from_epsilon(C, eps).with_seed(23)).unwrap()
+    fn build(g: &DiGraph, eps: f64) -> SharedEngine<HpArena> {
+        SharedEngine::from(
+            SlingIndex::build(g, &SlingConfig::from_epsilon(C, eps).with_seed(23)).unwrap(),
+        )
     }
 
     #[test]

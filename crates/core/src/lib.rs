@@ -31,20 +31,25 @@
 //!
 //! ## Quick start
 //!
+//! A [`SlingIndex`] is built, persisted and inspected; every query goes
+//! through a [`SharedEngine`], which an index converts into (or which
+//! opens a persisted file on any backend).
+//!
 //! ```
 //! use sling_graph::generators::two_cliques_bridge;
-//! use sling_core::{SlingConfig, SlingIndex};
+//! use sling_core::{SharedEngine, SlingConfig, SlingIndex};
 //!
 //! let graph = two_cliques_bridge(8);
 //! let config = SlingConfig::from_epsilon(0.6, 0.05).with_seed(7);
 //! let index = SlingIndex::build(&graph, &config).unwrap();
+//! let engine = SharedEngine::from(index);
 //!
 //! // Single-pair query (Algorithm 3) — O(1/ε).
-//! let s = index.single_pair(&graph, 0u32.into(), 1u32.into());
+//! let s = engine.single_pair(&graph, 0u32.into(), 1u32.into()).unwrap();
 //! assert!(s > 0.0 && s <= 1.0);
 //!
 //! // Single-source query (Algorithm 6).
-//! let scores = index.single_source(&graph, 0u32.into());
+//! let scores = engine.single_source(&graph, 0u32.into()).unwrap();
 //! assert_eq!(scores.len(), graph.num_nodes());
 //! ```
 //!
@@ -74,7 +79,7 @@
 //! | [`store::CompressedMmapArena`] | page cache (+ decoded blocks when ≤ 64 blocks) | header + offsets + directory | v2 + v3 |
 //! | [`out_of_core::DiskHpStore`] | `O(n)` offsets (+ decoded blocks when ≤ 64 blocks) | header + offsets only | v1 + v2 + v3 |
 //!
-//! Persistence is versioned ([`format`]): `SLNGIDX1` stores the entry
+//! Persistence is versioned ([`format`](mod@format)): `SLNGIDX1` stores the entry
 //! payload as raw fixed-width sections (14 bytes/entry, decode-free);
 //! `SLNGIDX2` stores it as independently decodable compressed blocks
 //! (the [`codec`] subsystem — delta-varint node ids per `(owner, step)`
@@ -113,14 +118,16 @@
 //! block-straddling runs) or when the §5.2/§5.3 restore actually
 //! rewrites it; the engine's `restore_kind` classification
 //! ([`store::RestoreKind`]) costs two O(1) loads on build-time
-//! artifacts (the reduction bitmap and mark offsets). §5.2-reduced
-//! nodes on cache-less paths stream a **two-segment** view: the
-//! recomputed steps ≤ 2 head over the borrowed steps ≥ 3 tail, so the
-//! bulk of a hub's list
-//! is never copied. Engines carry a sharded restore cache (an
-//! entry-budgeted LRU of `Arc`-shared restored lists) and resolve
-//! restoring nodes to memoized full lists instead — a warm
-//! hub is one lookup and a contiguous merge with zero backend traffic.
+//! artifacts (the reduction bitmap and mark offsets). Each engine picks
+//! its restore policy once, from its index ([`store::RestorePolicy`]):
+//! when the stored entries of all restoring nodes fit the restore
+//! cache's budget, it carries a sharded restore cache (an entry-budgeted
+//! LRU of `Arc`-shared restored lists) and resolves restoring nodes to
+//! memoized full lists — a warm hub is one lookup and a contiguous merge
+//! with zero backend traffic. Otherwise it streams: a §5.2-reduced node
+//! is read as a **two-segment** view, the recomputed steps ≤ 2 head over
+//! the borrowed steps ≥ 3 tail, so the bulk of a hub's list is never
+//! copied.
 //! The single-pair
 //! merge dispatches on list-length skew: ≥ 8× apart (hub-versus-leaf
 //! pairs, the dominant shape on power-law graphs) switches the linear
@@ -135,15 +142,16 @@
 //!
 //! One query engine sits on top of a backend: [`store::SharedEngine`],
 //! which owns the store together with the query-side metadata
-//! (correction factors, reduction bitmap, marks) and a restore cache.
+//! (correction factors, reduction bitmap, marks) and, when its restore
+//! policy caches, a restore cache. It is the only query front end:
+//! [`SlingIndex`] builds, persists and inspects an index and converts
+//! into an engine, but answers no query itself.
 //! It is `Send + Sync` and `Arc`-shareable: open an index once
 //! (in-memory, mmap, mmap-compressed, or disk), share it across threads
 //! for the process lifetime, or erase the backend type with
 //! [`store::SharedEngine::into_dyn`] when it is chosen at run time.
 //! Workers keep per-thread workspaces, so the hot path shares only
-//! immutable state. [`SlingIndex`]'s convenience methods run the same
-//! generic core without a restore cache — the cache-less reference
-//! path.
+//! immutable state.
 //!
 //! For concurrent serving, [`cache::ShardedResultCache`] adds a global
 //! single-pair result cache — power-of-two lock-per-shard over the same
@@ -272,6 +280,8 @@ pub use hp::HpEntry;
 pub use index::{QueryWorkspace, SlingIndex};
 pub use lifecycle::{GenId, GenerationStore, Manifest};
 pub use obs::{MetricsRegistry, QueryTrace, SlowQueryLog, SlowQueryRecord, StageNanos};
-pub use store::{CompressedMmapArena, EntryAccess, HpStore, MmapHpArena, SharedEngine};
+pub use store::{
+    CompressedMmapArena, EntryAccess, HpStore, MmapHpArena, RestorePolicy, SharedEngine,
+};
 pub use topk::select_top_k;
 pub use walk::WalkEngine;

@@ -116,6 +116,7 @@ mod tests {
     use crate::config::SlingConfig;
     use crate::error::SlingError;
     use crate::index::SlingIndex;
+    use crate::store::SharedEngine;
     use sling_graph::generators::{barabasi_albert, two_cliques_bridge};
     use sling_graph::NodeId;
     use std::path::PathBuf;
@@ -156,10 +157,12 @@ mod tests {
         assert_eq!(store.current().unwrap(), Some(GenId(1)));
 
         // The promoted generation opens and answers like the original.
-        let loaded = SlingIndex::load(&g, store.index_path(g1)).unwrap();
+        let loaded = SharedEngine::from(SlingIndex::load(&g, store.index_path(g1)).unwrap());
         assert_eq!(
-            loaded.single_pair(&g, NodeId(0), NodeId(1)),
-            idx.single_pair(&g, NodeId(0), NodeId(1))
+            loaded.single_pair(&g, NodeId(0), NodeId(1)).unwrap(),
+            SharedEngine::from(idx)
+                .single_pair(&g, NodeId(0), NodeId(1))
+                .unwrap()
         );
         // And its graph snapshot round-trips with the right fingerprint.
         let snap = store.load_graph(g1).unwrap().unwrap();
@@ -197,14 +200,14 @@ mod tests {
         assert_eq!(store.current().unwrap(), Some(v3_gen));
         assert_eq!(store.manifest(v3_gen).unwrap().format, FormatVersion::V3);
 
-        let v1 = SlingIndex::load(&g, store.index_path(v1_gen)).unwrap();
+        let v1 = SharedEngine::from(SlingIndex::load(&g, store.index_path(v1_gen)).unwrap());
         let v3 = SharedEngine::open_mmap_compressed(&g, store.index_path(v3_gen)).unwrap();
         for u in (0..300).step_by(37) {
             for v in (0..300).step_by(23) {
                 let (u, v) = (NodeId(u), NodeId(v));
                 assert_eq!(
                     v3.single_pair(&g, u, v).unwrap().to_bits(),
-                    v1.single_pair(&g, u, v).to_bits(),
+                    v1.single_pair(&g, u, v).unwrap().to_bits(),
                     "pair ({}, {})",
                     u.0,
                     v.0
@@ -212,6 +215,7 @@ mod tests {
             }
             let want: Vec<u64> = v1
                 .single_source(&g, NodeId(u))
+                .unwrap()
                 .iter()
                 .map(|s| s.to_bits())
                 .collect();
@@ -360,7 +364,9 @@ mod tests {
         // And of course warmed answers stay bit-identical.
         assert_eq!(
             engine.single_pair(&g, NodeId(0), NodeId(1)).unwrap(),
-            idx.single_pair(&g, NodeId(0), NodeId(1))
+            SharedEngine::from(idx)
+                .single_pair(&g, NodeId(0), NodeId(1))
+                .unwrap()
         );
         std::fs::remove_dir_all(&root).ok();
     }

@@ -577,8 +577,9 @@ mod tests {
         let dir = tmp("store");
         idx.save(dir.join("hp.bin")).unwrap();
         let engine = SharedEngine::open_disk(&g, dir.join("hp.bin")).unwrap();
+        let mem = SharedEngine::from(idx.clone());
         for (u, v) in [(0u32, 1u32), (3, 77), (149, 10), (5, 5)] {
-            let a = idx.single_pair(&g, NodeId(u), NodeId(v));
+            let a = mem.single_pair(&g, NodeId(u), NodeId(v)).unwrap();
             let b = engine.single_pair(&g, NodeId(u), NodeId(v)).unwrap();
             assert!((a - b).abs() < 1e-12, "({u},{v}): memory {a} vs disk {b}");
         }

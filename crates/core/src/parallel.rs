@@ -166,11 +166,12 @@ mod tests {
     fn queries_agree_between_serial_and_parallel_indexes() {
         let g = barabasi_albert(200, 2, 3).unwrap();
         let cfg = SlingConfig::from_epsilon(0.6, 0.1).with_seed(5);
-        let a = SlingIndex::build(&g, &cfg).unwrap();
-        let b = SlingIndex::build(&g, &cfg.clone().with_threads(3)).unwrap();
+        let a = crate::SharedEngine::from(SlingIndex::build(&g, &cfg).unwrap());
+        let b =
+            crate::SharedEngine::from(SlingIndex::build(&g, &cfg.clone().with_threads(3)).unwrap());
         for u in [0u32, 7, 42, 199] {
-            let su = a.single_source(&g, NodeId(u));
-            let sv = b.single_source(&g, NodeId(u));
+            let su = a.single_source(&g, NodeId(u)).unwrap();
+            let sv = b.single_source(&g, NodeId(u)).unwrap();
             assert_eq!(su, sv);
         }
     }

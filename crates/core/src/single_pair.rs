@@ -12,7 +12,7 @@
 //! * the classic **linear merge** — one pass over both lists,
 //!   `O(|H*(u)| + |H*(v)|)`;
 //! * a **galloping merge** for skewed pairs (list lengths ≥
-//!   [`GALLOP_RATIO`]× apart): walk the short list and exponential-search
+//!   `GALLOP_RATIO`× apart): walk the short list and exponential-search
 //!   the long one, `O(|short| · log |long|)`. Hub-versus-leaf pairs are
 //!   the dominant shape on power-law graphs, where the hub list dwarfs
 //!   the leaf list and a linear pass wastes almost every comparison.
@@ -21,17 +21,21 @@
 //! accumulate with the same expression, so their sums are **bit
 //! identical** — the dispatch on skew never changes an answer.
 //!
-//! The streaming entry point ([`single_pair_core`]) consumes both lists
-//! directly from the storage backend via [`crate::store::EntryAccess`] —
-//! zero-copy for the arena and mmap backends. What a list needs is
-//! classified by [`EngineRef::restore_kind`]: §5.3-marked nodes
-//! materialize the full rewritten list into the [`QueryWorkspace`];
-//! §5.2-reduced (unmarked) nodes copy only a recomputed steps ≤ 2 head
-//! and stream their stored steps ≥ 3 tail in place
-//! ([`crate::store::TwoSegRun`]); everything else streams whole. The
-//! materializing reference path is kept as
-//! [`single_pair_materialized_core`] for benchmarks and equivalence
-//! tests.
+//! Queries reach this kernel through one front end,
+//! [`crate::SharedEngine::single_pair`] and its `_with`/`_cached`
+//! variants. The streaming kernel consumes both lists directly from the
+//! storage backend via [`crate::store::EntryAccess`] — zero-copy for the
+//! arena and mmap backends. What a list needs is classified by the
+//! engine's `restore_kind` ([`crate::store::RestoreKind`]): plain nodes
+//! stream whole. Restoring nodes follow the policy the engine picked
+//! from its index ([`crate::store::RestorePolicy`]): under `Cache`,
+//! §5.2-reduced and §5.3-marked nodes resolve to memoized full lists;
+//! under `Stream`, marked nodes materialize the full rewritten list into
+//! the [`QueryWorkspace`] and reduced nodes copy only a recomputed
+//! steps ≤ 2 head and read their stored steps ≥ 3 tail in place. The
+//! materializing reference path (`single_pair_materialized_core`,
+//! reachable as [`crate::SharedEngine::single_pair_materialized_with`])
+//! is kept for benchmarks and equivalence tests.
 
 use sling_graph::{DiGraph, NodeId};
 
@@ -40,7 +44,7 @@ use crate::error::SlingError;
 use crate::hp::HpEntry;
 use crate::index::{
     effective_entries_into, resolve_restored, resolve_stream_source, Buf, QueryWorkspace,
-    RestoredList, SlingIndex,
+    RestoredList,
 };
 use crate::obs::{self, KernelCounters};
 use crate::store::{
@@ -249,72 +253,33 @@ pub(crate) fn single_pair_materialized_core<S: HpStore>(
     Ok(merge_linear(&ws.buf_a[..], &ws.buf_b[..], e.d).clamp(0.0, 1.0))
 }
 
-impl SlingIndex {
-    /// Single-pair SimRank estimate `s̃(u, v)` (Algorithm 3), allocating a
-    /// fresh workspace. For hot loops prefer
-    /// [`SlingIndex::single_pair_with`].
-    pub fn single_pair(&self, graph: &DiGraph, u: NodeId, v: NodeId) -> f64 {
-        let mut ws = QueryWorkspace::new();
-        self.single_pair_with(graph, &mut ws, u, v)
-    }
-
-    /// Single-pair query reusing caller-provided buffers; allocation-free
-    /// after warm-up.
-    ///
-    /// # Panics
-    /// Panics in debug builds if `u` or `v` is out of range; use
-    /// [`SlingIndex::try_single_pair`] for checked access.
-    pub fn single_pair_with(
-        &self,
-        graph: &DiGraph,
-        ws: &mut QueryWorkspace,
-        u: NodeId,
-        v: NodeId,
-    ) -> f64 {
-        debug_assert_eq!(graph.num_nodes(), self.num_nodes, "wrong graph for index");
-        single_pair_core(self.engine_ref(), graph, ws, u, v)
-            .expect("in-memory HP store cannot fail")
-    }
-
-    /// Range-checked single-pair query.
-    pub fn try_single_pair(
-        &self,
-        graph: &DiGraph,
-        u: NodeId,
-        v: NodeId,
-    ) -> Result<f64, SlingError> {
-        let n = self.num_nodes as u32;
-        for node in [u, v] {
-            if node.0 >= n {
-                return Err(SlingError::NodeOutOfRange { node: node.0, n });
-            }
-        }
-        Ok(self.single_pair(graph, u, v))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::SlingConfig;
+    use crate::hp::HpArena;
+    use crate::index::SlingIndex;
     use crate::reference::exact_simrank;
+    use crate::store::{RestorePolicy, SharedEngine};
     use sling_graph::generators::{complete_graph, cycle_graph, star_graph, two_cliques_bridge};
     use sling_graph::DiGraph;
 
     const C: f64 = 0.6;
 
-    fn build(g: &DiGraph, eps: f64) -> SlingIndex {
-        SlingIndex::build(g, &SlingConfig::from_epsilon(C, eps).with_seed(77)).unwrap()
+    fn build(g: &DiGraph, eps: f64) -> SharedEngine<HpArena> {
+        SharedEngine::from(
+            SlingIndex::build(g, &SlingConfig::from_epsilon(C, eps).with_seed(77)).unwrap(),
+        )
     }
 
     /// Every pair within ε of the power-method ground truth.
-    fn assert_all_pairs_within_eps(g: &DiGraph, idx: &SlingIndex, eps: f64) {
+    fn assert_all_pairs_within_eps(g: &DiGraph, idx: &SharedEngine<HpArena>, eps: f64) {
         let truth = exact_simrank(g, C, 60);
         let mut ws = QueryWorkspace::new();
         let mut worst = 0.0f64;
         for u in g.nodes() {
             for v in g.nodes() {
-                let est = idx.single_pair_with(g, &mut ws, u, v);
+                let est = idx.single_pair_with(g, &mut ws, u, v).unwrap();
                 let err = (est - truth[u.index()][v.index()]).abs();
                 worst = worst.max(err);
             }
@@ -343,7 +308,7 @@ mod tests {
         let config = SlingConfig::from_epsilon(C, eps)
             .with_seed(3)
             .with_enhancement(true);
-        let idx = SlingIndex::build(&g, &config).unwrap();
+        let idx = SharedEngine::from(SlingIndex::build(&g, &config).unwrap());
         assert_all_pairs_within_eps(&g, &idx, eps);
     }
 
@@ -352,7 +317,7 @@ mod tests {
         let g = two_cliques_bridge(4);
         let idx = build(&g, 0.1);
         for v in g.nodes() {
-            assert_eq!(idx.single_pair(&g, v, v), 1.0);
+            assert_eq!(idx.single_pair(&g, v, v).unwrap(), 1.0);
         }
     }
 
@@ -362,8 +327,8 @@ mod tests {
         let config = SlingConfig::from_epsilon(C, 0.05)
             .with_seed(1)
             .with_exact_diagonal(false);
-        let idx = SlingIndex::build(&g, &config).unwrap();
-        let s = idx.single_pair(&g, NodeId(0), NodeId(0));
+        let idx = SharedEngine::from(SlingIndex::build(&g, &config).unwrap());
+        let s = idx.single_pair(&g, NodeId(0), NodeId(0)).unwrap();
         assert!(s > 0.9 && s <= 1.0, "raw diagonal estimate {s}");
     }
 
@@ -374,8 +339,8 @@ mod tests {
         let mut ws = QueryWorkspace::new();
         for u in g.nodes() {
             for v in g.nodes() {
-                let a = idx.single_pair_with(&g, &mut ws, u, v);
-                let b = idx.single_pair_with(&g, &mut ws, v, u);
+                let a = idx.single_pair_with(&g, &mut ws, u, v).unwrap();
+                let b = idx.single_pair_with(&g, &mut ws, v, u).unwrap();
                 assert!((a - b).abs() < 1e-12);
             }
         }
@@ -385,15 +350,16 @@ mod tests {
     fn cycle_pairs_are_zero() {
         let g = cycle_graph(9);
         let idx = build(&g, 0.05);
-        assert_eq!(idx.single_pair(&g, NodeId(0), NodeId(4)), 0.0);
+        assert_eq!(idx.single_pair(&g, NodeId(0), NodeId(4)).unwrap(), 0.0);
     }
 
     #[test]
     fn try_single_pair_checks_range() {
         let g = cycle_graph(4);
         let idx = build(&g, 0.1);
-        assert!(idx.try_single_pair(&g, NodeId(0), NodeId(9)).is_err());
-        assert!(idx.try_single_pair(&g, NodeId(0), NodeId(3)).is_ok());
+        assert!(idx.single_pair(&g, NodeId(0), NodeId(9)).is_err());
+        assert!(idx.single_pair(&g, NodeId(9), NodeId(0)).is_err());
+        assert!(idx.single_pair(&g, NodeId(0), NodeId(3)).is_ok());
     }
 
     /// Deterministic sorted entry run with roughly every `stride`-th key
@@ -489,8 +455,8 @@ mod tests {
 
     /// Both restore policies must be bit-identical to the materializing
     /// reference kernel across the full §5.2 × §5.3 configuration
-    /// matrix, on repeated queries: the bare-index path (no
-    /// RestoreCache) streams two-segment §5.2 views, the engine path
+    /// matrix, on repeated queries: the streaming engine (no
+    /// RestoreCache) reads two-segment §5.2 views, the caching engine
     /// resolves cached full lists (second pass hits the cache).
     #[test]
     fn two_segment_streaming_matches_materialized_across_restore_matrix() {
@@ -507,7 +473,8 @@ mod tests {
                     "matrix row (sr={sr}, enh={enh}) exercises no reduced nodes"
                 );
             }
-            let engine = crate::SharedEngine::from(idx.clone());
+            let engine = SharedEngine::from(idx.clone()).forcing_policy(RestorePolicy::Cache);
+            let stream = SharedEngine::from(idx).forcing_policy(RestorePolicy::Stream);
             let mut ws = QueryWorkspace::new();
             let mut ws2 = QueryWorkspace::new();
             for _pass in 0..2 {
@@ -524,9 +491,9 @@ mod tests {
                             materialized.to_bits(),
                             "sr={sr} enh={enh} ({a},{b}): {streamed} vs {materialized}"
                         );
-                        // Bare index: no RestoreCache, so reduced
-                        // endpoints take the two-segment streaming path.
-                        let bare = idx.single_pair(&g, NodeId(a), NodeId(b));
+                        // No RestoreCache: reduced endpoints take the
+                        // two-segment streaming path.
+                        let bare = stream.single_pair(&g, NodeId(a), NodeId(b)).unwrap();
                         assert_eq!(
                             bare.to_bits(),
                             materialized.to_bits(),

@@ -15,7 +15,7 @@ use sling_graph::{DiGraph, NodeId};
 use crate::error::SlingError;
 use crate::index::{
     effective_entries_into, resolve_restored, resolve_stream_source, Buf, QueryWorkspace,
-    RestoredList, SlingIndex,
+    RestoredList,
 };
 use crate::obs::{self, KernelCounters};
 use crate::store::{
@@ -24,7 +24,7 @@ use crate::store::{
 
 /// Reusable buffers for Algorithm 6. One per querying thread.
 ///
-/// Split into the dense propagation state ([`DenseScores`]) and the
+/// Split into the dense propagation state (`DenseScores`) and the
 /// entry-list scratch ([`QueryWorkspace`]) so the streaming kernel can
 /// borrow the entry run (which may live in `query.buf_a`) while mutating
 /// the propagation buffers — disjoint fields, disjoint borrows. Between
@@ -458,80 +458,23 @@ fn seed_step_runs<S: HpStore, R: EntryRun>(
     false
 }
 
-impl SlingIndex {
-    /// Single-source query from `u` (Algorithm 6): returns `s̃(u, v)` for
-    /// every node `v`. Allocates a workspace; prefer
-    /// [`SlingIndex::single_source_with`] in loops.
-    pub fn single_source(&self, graph: &DiGraph, u: NodeId) -> Vec<f64> {
-        let mut ws = SingleSourceWorkspace::new();
-        let mut out = Vec::new();
-        self.single_source_with(graph, &mut ws, u, &mut out);
-        out
-    }
-
-    /// Single-source query into a caller-provided output vector.
-    pub fn single_source_with(
-        &self,
-        graph: &DiGraph,
-        ws: &mut SingleSourceWorkspace,
-        u: NodeId,
-        out: &mut Vec<f64>,
-    ) {
-        debug_assert_eq!(graph.num_nodes(), self.num_nodes, "wrong graph for index");
-        single_source_core(self.engine_ref(), graph, ws, u, out)
-            .expect("in-memory HP store cannot fail");
-    }
-
-    /// Baseline single-source strategy: Algorithm 3 once per node —
-    /// `O(n/ε)` asymptotically, but slower in practice than Algorithm 6
-    /// (the paper's Figure 2 comparison).
-    pub fn single_source_via_pairs(&self, graph: &DiGraph, u: NodeId) -> Vec<f64> {
-        let mut ws = QueryWorkspace::new();
-        graph
-            .nodes()
-            .map(|v| self.single_pair_with(graph, &mut ws, u, v))
-            .collect()
-    }
-
-    /// Range-checked single-source query.
-    pub fn try_single_source(&self, graph: &DiGraph, u: NodeId) -> Result<Vec<f64>, SlingError> {
-        if u.index() >= self.num_nodes {
-            return Err(SlingError::NodeOutOfRange {
-                node: u.0,
-                n: self.num_nodes as u32,
-            });
-        }
-        Ok(self.single_source(graph, u))
-    }
-
-    /// Top-k most similar nodes to `u` (excluding `u` itself), ordered by
-    /// descending score with node-id tie-breaking. Built on Algorithm 6.
-    pub fn top_k(&self, graph: &DiGraph, u: NodeId, k: usize) -> Vec<(NodeId, f64)> {
-        let scores = self.single_source(graph, u);
-        let mut ranked: Vec<(NodeId, f64)> = scores
-            .iter()
-            .enumerate()
-            .filter(|&(i, &s)| i != u.index() && s > 0.0)
-            .map(|(i, &s)| (NodeId::from_index(i), s))
-            .collect();
-        ranked.sort_unstable_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
-        ranked.truncate(k);
-        ranked
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::SlingConfig;
+    use crate::hp::HpArena;
+    use crate::index::SlingIndex;
     use crate::reference::exact_simrank;
+    use crate::store::{RestorePolicy, SharedEngine};
     use sling_graph::generators::{complete_graph, cycle_graph, star_graph, two_cliques_bridge};
     use sling_graph::DiGraph;
 
     const C: f64 = 0.6;
 
-    fn build(g: &DiGraph, eps: f64) -> SlingIndex {
-        SlingIndex::build(g, &SlingConfig::from_epsilon(C, eps).with_seed(31)).unwrap()
+    fn build(g: &DiGraph, eps: f64) -> SharedEngine<HpArena> {
+        SharedEngine::from(
+            SlingIndex::build(g, &SlingConfig::from_epsilon(C, eps).with_seed(31)).unwrap(),
+        )
     }
 
     #[test]
@@ -546,7 +489,7 @@ mod tests {
             let idx = build(&g, eps);
             let truth = exact_simrank(&g, C, 60);
             for u in g.nodes() {
-                let scores = idx.single_source(&g, u);
+                let scores = idx.single_source(&g, u).unwrap();
                 for v in g.nodes() {
                     let err = (scores[v.index()] - truth[u.index()][v.index()]).abs();
                     assert!(err <= eps, "({u:?},{v:?}): err {err}");
@@ -565,8 +508,11 @@ mod tests {
         let sc = C.sqrt();
         let slack = 2.0 * sc * idx.config().theta / ((1.0 - sc) * (1.0 - C)) + 1e-9;
         for u in g.nodes() {
-            let a6 = idx.single_source(&g, u);
-            let a3 = idx.single_source_via_pairs(&g, u);
+            let a6 = idx.single_source(&g, u).unwrap();
+            let a3: Vec<f64> = g
+                .nodes()
+                .map(|v| idx.single_pair(&g, u, v).unwrap())
+                .collect();
             for v in g.nodes() {
                 let diff = (a6[v.index()] - a3[v.index()]).abs();
                 assert!(diff <= slack, "({u:?},{v:?}): diff {diff} > {slack}");
@@ -586,17 +532,19 @@ mod tests {
                 .all(|v| v.iter().all(|&x| x.to_bits() == 0))
         };
         let mut first = Vec::new();
-        idx.single_source_with(&g, &mut ws, NodeId(0), &mut first);
+        idx.single_source_with(&g, &mut ws, NodeId(0), &mut first)
+            .unwrap();
         // Buffers must be zeroed after a query, whichever consumer
         // drained the accumulator...
         assert!(all_zero(&ws), "dirty after SOURCE");
         let top =
             crate::topk::top_k_core(idx.engine_ref(), &g, &mut ws, NodeId(5), 3, None).unwrap();
-        assert_eq!(top, idx.top_k_heap(&g, NodeId(5), 3));
+        assert_eq!(top, idx.top_k(&g, NodeId(5), 3).unwrap());
         assert!(all_zero(&ws), "dirty after TOPK");
         // ...so the same query repeated gives identical results.
         let mut second = Vec::new();
-        idx.single_source_with(&g, &mut ws, NodeId(0), &mut second);
+        idx.single_source_with(&g, &mut ws, NodeId(0), &mut second)
+            .unwrap();
         assert_eq!(first, second);
         // And a different query is unaffected by the first.
         let mut direct = Vec::new();
@@ -605,17 +553,19 @@ mod tests {
             &mut SingleSourceWorkspace::new(),
             NodeId(3),
             &mut direct,
-        );
+        )
+        .unwrap();
         let mut reused = Vec::new();
-        idx.single_source_with(&g, &mut ws, NodeId(3), &mut reused);
+        idx.single_source_with(&g, &mut ws, NodeId(3), &mut reused)
+            .unwrap();
         assert_eq!(direct, reused);
     }
 
     /// Algorithm 6's streaming seed path must be bit-identical to the
     /// materializing reference kernel across the §5.2 × §5.3 matrix
-    /// under both restore policies: the bare-index path (no
-    /// RestoreCache) seeds from a two-segment §5.2 view, the engine
-    /// path from cached full lists (second pass hits the cache).
+    /// under both restore policies: the streaming engine (no
+    /// RestoreCache) seeds from a two-segment §5.2 view, the caching
+    /// engine from cached full lists (second pass hits the cache).
     #[test]
     fn two_segment_single_source_matches_materialized_across_restore_matrix() {
         use sling_graph::generators::barabasi_albert;
@@ -627,7 +577,8 @@ mod tests {
                 .with_enhancement(enh);
             let idx = SlingIndex::build(&g, &config).unwrap();
             assert!(idx.stats.reduced_nodes > 0);
-            let engine = crate::SharedEngine::from(idx.clone());
+            let engine = SharedEngine::from(idx.clone()).forcing_policy(RestorePolicy::Cache);
+            let stream = SharedEngine::from(idx).forcing_policy(RestorePolicy::Stream);
             let mut ws = SingleSourceWorkspace::new();
             let mut ws2 = SingleSourceWorkspace::new();
             let (mut streamed, mut materialized) = (Vec::new(), Vec::new());
@@ -646,9 +597,9 @@ mod tests {
                             "sr={sr} enh={enh} s({u},{v})"
                         );
                     }
-                    // Bare index: no RestoreCache, so a reduced source
-                    // seeds from the two-segment streaming view.
-                    let bare = idx.single_source(&g, NodeId(u));
+                    // No RestoreCache: a reduced source seeds from the
+                    // two-segment streaming view.
+                    let bare = stream.single_source(&g, NodeId(u)).unwrap();
                     for v in 0..bare.len() {
                         assert_eq!(
                             bare[v].to_bits(),
@@ -665,12 +616,13 @@ mod tests {
     /// every step run adds all `n` of them into the answer, and the clamp
     /// runs over the whole vector. Same floating-point operations in the
     /// same order as the kernel, so the answers must be bit-equal.
-    fn dense_oracle(idx: &SlingIndex, g: &DiGraph, u: NodeId) -> Vec<f64> {
+    fn dense_oracle(engine: &SharedEngine<HpArena>, g: &DiGraph, u: NodeId) -> Vec<f64> {
         let n = g.num_nodes();
-        let config = idx.config();
+        let idx = engine.engine_ref();
+        let config = idx.config;
         let sqrt_c = config.sqrt_c();
         let mut ws = QueryWorkspace::new();
-        effective_entries_into(idx.engine_ref(), g, u, &mut ws, Buf::A).unwrap();
+        effective_entries_into(idx, g, u, &mut ws, Buf::A).unwrap();
         let mut out = vec![0.0; n];
         for run in ws.buf_a.chunk_by(|a, b| a.step == b.step) {
             let step = run[0].step;
@@ -729,7 +681,9 @@ mod tests {
         let g = barabasi_albert(20_000, 4, 5).unwrap();
         let n = g.num_nodes();
         let idx = SlingIndex::build(&g, &SlingConfig::from_epsilon(C, 0.1).with_seed(3)).unwrap();
-        let engine = crate::SharedEngine::from(idx.clone());
+        let engine = SharedEngine::from(idx.clone());
+        assert_eq!(engine.restore_policy(), RestorePolicy::Stream);
+        let cached = SharedEngine::from(idx).forcing_policy(RestorePolicy::Cache);
         // Both ends of the id range, both sides of word boundaries, and
         // a stride through the middle.
         let mut sources: Vec<u32> = vec![0, 1, 63, 64, 65, 127, 128, 19_967, 19_968, 19_999];
@@ -739,19 +693,19 @@ mod tests {
         let mut touched_min = n;
         for &s in &sources {
             let u = NodeId(s);
-            let oracle = dense_oracle(&idx, &g, u);
+            let oracle = dense_oracle(&engine, &g, u);
             touched_min = touched_min.min(oracle.iter().filter(|&&x| x > 0.0).count());
             engine.single_source_with(&g, &mut ws, u, &mut row).unwrap();
             assert_bits_eq(&row, &oracle, &format!("engine SOURCE {s}"));
-            idx.single_source_with(&g, &mut ws, u, &mut row);
-            assert_bits_eq(&row, &oracle, &format!("index SOURCE {s}"));
+            cached.single_source_with(&g, &mut ws, u, &mut row).unwrap();
+            assert_bits_eq(&row, &oracle, &format!("cached SOURCE {s}"));
             for k in [1, 10, n + 1] {
                 let want = select_top_k(&oracle, Some(u), k);
                 let got = engine.top_k_with(&g, &mut ws, &mut empty, u, k).unwrap();
                 assert_eq!(got, want, "engine TOPK {s} k={k}");
                 assert!(empty.is_empty());
-                let got = top_k_core(idx.engine_ref(), &g, &mut ws, u, k, None).unwrap();
-                assert_eq!(got, want, "index TOPK {s} k={k}");
+                let got = top_k_core(cached.engine_ref(), &g, &mut ws, u, k, None).unwrap();
+                assert_eq!(got, want, "cached TOPK {s} k={k}");
             }
         }
         assert!(
@@ -791,9 +745,9 @@ mod tests {
     fn diagonal_and_range_handling() {
         let g = star_graph(5);
         let idx = build(&g, 0.1);
-        let scores = idx.single_source(&g, NodeId(0));
+        let scores = idx.single_source(&g, NodeId(0)).unwrap();
         assert_eq!(scores[0], 1.0);
-        assert!(idx.try_single_source(&g, NodeId(99)).is_err());
+        assert!(idx.single_source(&g, NodeId(99)).is_err());
     }
 
     #[test]
@@ -802,7 +756,7 @@ mod tests {
         let idx = build(&g, 0.05);
         // Node 1 lives in clique {0..4}; its top matches must come from
         // the same clique.
-        let top = idx.top_k(&g, NodeId(1), 3);
+        let top = idx.top_k(&g, NodeId(1), 3).unwrap();
         assert_eq!(top.len(), 3);
         for (v, s) in &top {
             assert!(v.0 < 5, "cross-clique node {v:?} in top-3");
@@ -816,7 +770,7 @@ mod tests {
     fn cycle_single_source_is_indicator() {
         let g = cycle_graph(7);
         let idx = build(&g, 0.05);
-        let scores = idx.single_source(&g, NodeId(3));
+        let scores = idx.single_source(&g, NodeId(3)).unwrap();
         for v in g.nodes() {
             let expect = if v == NodeId(3) { 1.0 } else { 0.0 };
             assert_eq!(scores[v.index()], expect);

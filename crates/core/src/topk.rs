@@ -1,14 +1,15 @@
 //! Top-k single-source SimRank queries.
 //!
 //! The paper's §8 surveys top-k SimRank queries as a major related query
-//! type; the SLING index supports them directly. This module provides two
-//! query strategies on top of Algorithm 6:
+//! type; the SLING index supports them directly. The engine
+//! ([`crate::SharedEngine`]) provides two query strategies on top of
+//! Algorithm 6:
 //!
-//! * [`SlingIndex::top_k_heap`] — run the single-source propagation, then
+//! * [`crate::SharedEngine::top_k`] — run the single-source propagation, then
 //!   feed a bounded min-heap straight from the nodes it touched: no dense
 //!   score vector is written or scanned, so selection costs
 //!   `O(t log k)` for `t` touched nodes instead of `O(n log k)`.
-//! * [`SlingIndex::top_k_approx`] — an early-terminating variant. The
+//! * [`crate::SharedEngine::top_k_approx`] — an early-terminating variant. The
 //!   step-ℓ term of Eq. (13) contributes at most `c^ℓ` to *any* pair's
 //!   score (each hitting-probability row sums to `(√c)^ℓ` and `d_k ≤ 1`),
 //!   so once the steps still unprocessed can contribute at most `slack`,
@@ -25,7 +26,6 @@ use std::collections::BinaryHeap;
 use sling_graph::{DiGraph, NodeId};
 
 use crate::error::SlingError;
-use crate::index::SlingIndex;
 use crate::single_source::{accumulate, single_source_with_cutoff, SingleSourceWorkspace};
 use crate::store::{EngineRef, HpStore};
 
@@ -116,7 +116,7 @@ pub fn select_top_k(scores: &[f64], exclude: Option<NodeId>, k: usize) -> Vec<(N
     top.into_sorted()
 }
 
-/// Top-k over any storage backend (see [`SlingIndex::top_k_heap`]): the
+/// Top-k over any storage backend (see [`crate::SharedEngine::top_k`]): the
 /// Algorithm 6 driver with step runs `ℓ ≥ cutoff` skipped, then the heap
 /// fed from the touched set in ascending node order. The diagonal is
 /// excluded, so the exact-diagonal setting cannot change the answer.
@@ -138,69 +138,10 @@ pub(crate) fn top_k_core<S: HpStore>(
     Ok(top.into_sorted())
 }
 
-impl SlingIndex {
-    /// Top-k most similar nodes to `u` (excluding `u`), selected with a
-    /// bounded heap fed from the nodes Algorithm 6 touched. Result is
-    /// identical to [`SlingIndex::top_k`] but no dense score vector is
-    /// built, scanned or sorted.
-    ///
-    /// ```
-    /// use sling_core::{SlingConfig, SlingIndex};
-    /// use sling_graph::generators::two_cliques_bridge;
-    ///
-    /// let g = two_cliques_bridge(5);
-    /// let index = SlingIndex::build(&g, &SlingConfig::from_epsilon(0.6, 0.05)).unwrap();
-    /// let top = index.top_k_heap(&g, 0u32.into(), 3);
-    /// assert_eq!(top.len(), 3);
-    /// assert!(top.windows(2).all(|w| w[0].1 >= w[1].1));
-    /// ```
-    pub fn top_k_heap(&self, graph: &DiGraph, u: NodeId, k: usize) -> Vec<(NodeId, f64)> {
-        self.top_k_approx(graph, u, k, 0.0)
-    }
-
-    /// Early-terminating top-k: stops propagating Algorithm 6's step runs
-    /// once the unprocessed steps can add at most `slack` to any score.
-    ///
-    /// Each returned score `s` underestimates the full Algorithm-6 result
-    /// by at most `slack`, so with the index's ε guarantee the total error
-    /// versus true SimRank is at most `ε + slack`. With `slack = 0.0` this
-    /// is exactly [`SlingIndex::top_k_heap`].
-    pub fn top_k_approx(
-        &self,
-        graph: &DiGraph,
-        u: NodeId,
-        k: usize,
-        slack: f64,
-    ) -> Vec<(NodeId, f64)> {
-        debug_assert_eq!(graph.num_nodes(), self.num_nodes, "wrong graph for index");
-        let mut ws = SingleSourceWorkspace::new();
-        let cutoff = slack_cutoff(self.config().c, slack);
-        top_k_core(self.engine_ref(), graph, &mut ws, u, k, cutoff)
-            .expect("in-memory HP store cannot fail")
-    }
-
-    /// Algorithm 6 with early termination: skip step runs whose maximum
-    /// possible remaining contribution (`Σ_{ℓ' ≥ ℓ} c^ℓ' = c^ℓ/(1-c)`)
-    /// is at most `slack`. Returns the residual bound that was dropped
-    /// (0.0 when every stored step was processed).
-    pub fn single_source_truncated(
-        &self,
-        graph: &DiGraph,
-        ws: &mut SingleSourceWorkspace,
-        u: NodeId,
-        slack: f64,
-        out: &mut Vec<f64>,
-    ) -> f64 {
-        debug_assert_eq!(graph.num_nodes(), self.num_nodes, "wrong graph for index");
-        single_source_truncated_core(self.engine_ref(), graph, ws, u, slack, out)
-            .expect("in-memory HP store cannot fail")
-    }
-}
-
 /// The first step run early termination may drop: the smallest ℓ with
 /// `c^ℓ/(1-c) ≤ slack`, so it goes along with everything deeper. `None`
 /// (no cutoff) when `slack ≤ 0`.
-fn slack_cutoff(c: f64, slack: f64) -> Option<u16> {
+pub(crate) fn slack_cutoff(c: f64, slack: f64) -> Option<u16> {
     if slack <= 0.0 {
         return None;
     }
@@ -214,7 +155,7 @@ fn slack_cutoff(c: f64, slack: f64) -> Option<u16> {
 }
 
 /// Early-terminating Algorithm 6 over any storage backend (see
-/// [`SlingIndex::single_source_truncated`]): maps `slack` to a step
+/// [`crate::SharedEngine::single_source_truncated`]): maps `slack` to a step
 /// cutoff, then runs the shared streaming driver
 /// ([`single_source_with_cutoff`]).
 pub(crate) fn single_source_truncated_core<S: HpStore>(
@@ -233,12 +174,17 @@ pub(crate) fn single_source_truncated_core<S: HpStore>(
 mod tests {
     use super::*;
     use crate::config::SlingConfig;
+    use crate::hp::HpArena;
+    use crate::index::SlingIndex;
+    use crate::store::SharedEngine;
     use sling_graph::generators::{barabasi_albert, complete_graph, two_cliques_bridge};
 
     const C: f64 = 0.6;
 
-    fn build(g: &DiGraph, eps: f64) -> SlingIndex {
-        SlingIndex::build(g, &SlingConfig::from_epsilon(C, eps).with_seed(17)).unwrap()
+    fn build(g: &DiGraph, eps: f64) -> SharedEngine<HpArena> {
+        SharedEngine::from(
+            SlingIndex::build(g, &SlingConfig::from_epsilon(C, eps).with_seed(17)).unwrap(),
+        )
     }
 
     #[test]
@@ -267,9 +213,18 @@ mod tests {
         let g = barabasi_albert(300, 3, 5).unwrap();
         let idx = build(&g, 0.1);
         for u in [NodeId(0), NodeId(7), NodeId(123)] {
+            let mut ranked: Vec<(NodeId, f64)> = idx
+                .single_source(&g, u)
+                .unwrap()
+                .into_iter()
+                .enumerate()
+                .filter(|&(i, s)| i != u.index() && s > 0.0)
+                .map(|(i, s)| (NodeId::from_index(i), s))
+                .collect();
+            ranked.sort_unstable_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
             for k in [1, 5, 50] {
-                let sorted = idx.top_k(&g, u, k);
-                let heaped = idx.top_k_heap(&g, u, k);
+                let sorted = &ranked[..k.min(ranked.len())];
+                let heaped = idx.top_k(&g, u, k).unwrap();
                 assert_eq!(sorted, heaped, "u = {u:?}, k = {k}");
             }
         }
@@ -280,7 +235,10 @@ mod tests {
         let g = two_cliques_bridge(5);
         let idx = build(&g, 0.05);
         for u in g.nodes() {
-            assert_eq!(idx.top_k_approx(&g, u, 4, 0.0), idx.top_k_heap(&g, u, 4));
+            assert_eq!(
+                idx.top_k_approx(&g, u, 4, 0.0).unwrap(),
+                idx.top_k(&g, u, 4).unwrap()
+            );
         }
     }
 
@@ -290,10 +248,12 @@ mod tests {
         let idx = build(&g, 0.1);
         let slack = 0.02;
         for u in [NodeId(1), NodeId(50), NodeId(150)] {
-            let full = idx.single_source(&g, u);
+            let full = idx.single_source(&g, u).unwrap();
             let mut ws = SingleSourceWorkspace::new();
             let mut truncated = Vec::new();
-            let residual = idx.single_source_truncated(&g, &mut ws, u, slack, &mut truncated);
+            let residual = idx
+                .single_source_truncated(&g, &mut ws, u, slack, &mut truncated)
+                .unwrap();
             assert!(residual <= slack + 1e-12);
             for v in g.nodes() {
                 let diff = full[v.index()] - truncated[v.index()];
@@ -313,13 +273,16 @@ mod tests {
         // diagonal survives because step 0 always has h(0)(u,u) = 1.
         let g = complete_graph(4);
         let idx = build(&g, 0.1);
-        let top = idx.top_k_approx(&g, NodeId(0), 3, C / (1.0 - C) + 0.01);
+        let top = idx
+            .top_k_approx(&g, NodeId(0), 3, C / (1.0 - C) + 0.01)
+            .unwrap();
         // With only step 0 processed, off-diagonal scores vanish.
         assert!(top.iter().all(|&(_, s)| s >= 0.0));
         let mut ws = SingleSourceWorkspace::new();
         let mut scores = Vec::new();
-        let residual =
-            idx.single_source_truncated(&g, &mut ws, NodeId(0), C / (1.0 - C) + 0.01, &mut scores);
+        let residual = idx
+            .single_source_truncated(&g, &mut ws, NodeId(0), C / (1.0 - C) + 0.01, &mut scores)
+            .unwrap();
         assert!(residual > 0.0);
         assert_eq!(scores[0], 1.0);
     }
@@ -330,7 +293,8 @@ mod tests {
         let idx = build(&g, 0.1);
         let mut ws = SingleSourceWorkspace::new();
         let mut scores = Vec::new();
-        idx.single_source_truncated(&g, &mut ws, NodeId(2), 0.01, &mut scores);
+        idx.single_source_truncated(&g, &mut ws, NodeId(2), 0.01, &mut scores)
+            .unwrap();
         assert_eq!(scores[2], 1.0);
     }
 
@@ -340,9 +304,11 @@ mod tests {
         let idx = build(&g, 0.05);
         let mut ws = SingleSourceWorkspace::new();
         let mut a = Vec::new();
-        idx.single_source_truncated(&g, &mut ws, NodeId(0), 0.05, &mut a);
+        idx.single_source_truncated(&g, &mut ws, NodeId(0), 0.05, &mut a)
+            .unwrap();
         let mut b = Vec::new();
-        idx.single_source_truncated(&g, &mut ws, NodeId(0), 0.05, &mut b);
+        idx.single_source_truncated(&g, &mut ws, NodeId(0), 0.05, &mut b)
+            .unwrap();
         assert_eq!(a, b);
     }
 }

@@ -16,8 +16,10 @@ use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 use sling_graph::{DiGraph, NodeId};
 
-use crate::index::{QueryWorkspace, SlingIndex};
+use crate::error::SlingError;
+use crate::index::QueryWorkspace;
 use crate::reference::exact_simrank;
+use crate::store::{HpStore, SharedEngine};
 use crate::walk::WalkEngine;
 
 /// Outcome of an error audit.
@@ -54,20 +56,24 @@ impl std::fmt::Display for ErrorAudit {
 
 /// Audit every pair against the power-method ground truth (50 iterations:
 /// residual `< c^50/(1-c) ≈ 10^-11` for `c = 0.6`, negligible next to ε).
+/// Any backend can be audited; a store read error aborts the audit.
 ///
 /// ```
 /// use sling_core::verify::audit_exact;
-/// use sling_core::{SlingConfig, SlingIndex};
+/// use sling_core::{SharedEngine, SlingConfig, SlingIndex};
 /// use sling_graph::generators::complete_graph;
 ///
 /// let g = complete_graph(5);
 /// let index = SlingIndex::build(&g, &SlingConfig::from_epsilon(0.6, 0.05)).unwrap();
-/// let audit = audit_exact(&index, &g);
+/// let audit = audit_exact(&SharedEngine::from(index), &g).unwrap();
 /// assert!(audit.passed(), "{audit}");
 /// ```
-pub fn audit_exact(index: &SlingIndex, graph: &DiGraph) -> ErrorAudit {
-    let c = index.config().c;
-    let eps = index.config().epsilon;
+pub fn audit_exact<S: HpStore>(
+    engine: &SharedEngine<S>,
+    graph: &DiGraph,
+) -> Result<ErrorAudit, SlingError> {
+    let c = engine.config().c;
+    let eps = engine.config().epsilon;
     let truth = exact_simrank(graph, c, 50);
     let mut ws = QueryWorkspace::new();
     let mut max_error: f64 = 0.0;
@@ -76,7 +82,7 @@ pub fn audit_exact(index: &SlingIndex, graph: &DiGraph) -> ErrorAudit {
     let mut checked = 0;
     for u in graph.nodes() {
         for v in graph.nodes() {
-            let got = index.single_pair_with(graph, &mut ws, u, v);
+            let got = engine.single_pair_with(graph, &mut ws, u, v)?;
             let err = (got - truth[u.index()][v.index()]).abs();
             max_error = max_error.max(err);
             total += err;
@@ -86,7 +92,7 @@ pub fn audit_exact(index: &SlingIndex, graph: &DiGraph) -> ErrorAudit {
             }
         }
     }
-    ErrorAudit {
+    Ok(ErrorAudit {
         epsilon: eps,
         max_error,
         mean_error: if checked == 0 {
@@ -96,24 +102,24 @@ pub fn audit_exact(index: &SlingIndex, graph: &DiGraph) -> ErrorAudit {
         },
         violations,
         pairs_checked: checked,
-    }
+    })
 }
 
 /// Audit `pairs` random pairs against Monte-Carlo references built from
 /// `mc_pairs` √c-walk pairs each. Deviations beyond `ε + ε_mc` count as
 /// violations, where `ε_mc = sqrt(3 ln(2/δ_mc) / mc_pairs)` is the
 /// Chernoff half-width at `δ_mc = 10⁻⁴` per reference.
-pub fn audit_sampled(
-    index: &SlingIndex,
+pub fn audit_sampled<S: HpStore>(
+    engine: &SharedEngine<S>,
     graph: &DiGraph,
     pairs: usize,
     mc_pairs: u32,
     seed: u64,
-) -> ErrorAudit {
-    let c = index.config().c;
-    let eps = index.config().epsilon;
+) -> Result<ErrorAudit, SlingError> {
+    let c = engine.config().c;
+    let eps = engine.config().epsilon;
     let eps_mc = (3.0 * (2.0f64 / 1e-4).ln() / mc_pairs as f64).sqrt();
-    let engine = WalkEngine::new(graph, c);
+    let walks = WalkEngine::new(graph, c);
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut ws = QueryWorkspace::new();
     let n = graph.num_nodes() as u32;
@@ -126,8 +132,8 @@ pub fn audit_sampled(
         if u == v {
             continue;
         }
-        let reference = engine.estimate_simrank(&mut rng, u, v, mc_pairs);
-        let got = index.single_pair_with(graph, &mut ws, u, v);
+        let reference = walks.estimate_simrank(&mut rng, u, v, mc_pairs);
+        let got = engine.single_pair_with(graph, &mut ws, u, v)?;
         let err = (got - reference).abs();
         max_error = max_error.max(err);
         total += err;
@@ -135,7 +141,7 @@ pub fn audit_sampled(
             violations += 1;
         }
     }
-    ErrorAudit {
+    Ok(ErrorAudit {
         epsilon: eps,
         max_error,
         mean_error: if pairs == 0 {
@@ -145,13 +151,15 @@ pub fn audit_sampled(
         },
         violations,
         pairs_checked: pairs,
-    }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::CompressOptions;
     use crate::config::SlingConfig;
+    use crate::index::SlingIndex;
     use sling_graph::generators::{barabasi_albert, complete_graph, two_cliques_bridge};
 
     const C: f64 = 0.6;
@@ -166,7 +174,7 @@ mod tests {
                     .with_exact_diagonal(false),
             )
             .unwrap();
-            let audit = audit_exact(&idx, &g);
+            let audit = audit_exact(&SharedEngine::from(idx), &g).unwrap();
             assert!(audit.passed(), "{audit}");
             assert!(audit.max_error <= 0.05);
             assert!(audit.mean_error <= audit.max_error);
@@ -178,7 +186,7 @@ mod tests {
     fn sampled_audit_passes_on_larger_graph() {
         let g = barabasi_albert(400, 3, 7).unwrap();
         let idx = SlingIndex::build(&g, &SlingConfig::from_epsilon(C, 0.05).with_seed(3)).unwrap();
-        let audit = audit_sampled(&idx, &g, 100, 20_000, 123);
+        let audit = audit_sampled(&SharedEngine::from(idx), &g, 100, 20_000, 123).unwrap();
         assert!(audit.passed(), "{audit}");
         assert!(audit.pairs_checked == 100);
     }
@@ -193,10 +201,30 @@ mod tests {
                 .with_exact_diagonal(false),
         )
         .unwrap();
-        let audit = audit_exact(&idx, &g);
+        let audit = audit_exact(&SharedEngine::from(idx), &g).unwrap();
         assert_eq!(audit.epsilon, 0.1);
         assert!(audit.max_error >= audit.mean_error);
         let text = audit.to_string();
         assert!(text.contains("violations"), "{text}");
+    }
+
+    /// The audit runs on any backend: a quantized `SLNGIDX3` file served
+    /// `mmap-compressed` still meets the ε guarantee on every pair.
+    #[test]
+    fn exact_audit_passes_on_quantized_v3_mmap_compressed() {
+        let g = barabasi_albert(60, 3, 11).unwrap();
+        let idx = SlingIndex::build(&g, &SlingConfig::from_epsilon(C, 0.05).with_seed(5)).unwrap();
+        let path = std::env::temp_dir().join(format!("sling_audit_q3_{}.slng", std::process::id()));
+        let opts = CompressOptions {
+            block_entries: 64,
+            quantize_values: true,
+        };
+        idx.save_v3(&path, &opts).unwrap();
+        let engine = SharedEngine::open_mmap_compressed(&g, &path).unwrap();
+        assert!(!engine.store().values_exact(), "fixture is not quantized");
+        let audit = audit_exact(&engine, &g).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert_eq!(audit.violations, 0, "{audit}");
+        assert_eq!(audit.pairs_checked, g.num_nodes() * g.num_nodes());
     }
 }

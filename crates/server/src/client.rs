@@ -189,7 +189,9 @@ impl Client {
         let payload = self.roundtrip(&Request::TopK { u, k }.encode())?;
         let mut tokens = payload.split_ascii_whitespace();
         let count: usize = parse_tok(tokens.next(), "top-k count")?;
-        let mut out = Vec::with_capacity(count);
+        // The count is the peer's claim: reserve no more than the
+        // payload can hold (every item takes at least one byte).
+        let mut out = Vec::with_capacity(count.min(payload.len()));
         for _ in 0..count {
             let tok = tokens
                 .next()
@@ -584,7 +586,9 @@ fn parse_tok<T: std::str::FromStr>(tok: Option<&str>, what: &str) -> io::Result<
 fn parse_counted_scores(payload: &str) -> io::Result<Vec<f64>> {
     let mut tokens = payload.split_ascii_whitespace();
     let count: usize = parse_tok(tokens.next(), "score count")?;
-    let mut out = Vec::with_capacity(count);
+    // The count is the peer's claim: reserve no more than the payload
+    // can hold (every score takes at least one byte).
+    let mut out = Vec::with_capacity(count.min(payload.len()));
     for _ in 0..count {
         out.push(parse_f64(
             tokens.next().ok_or_else(|| invalid("truncated scores"))?,
@@ -599,6 +603,49 @@ fn parse_counted_scores(payload: &str) -> io::Result<Vec<f64>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Serve one connection on a Unix socket: answer the first request
+    /// line with `reply`.
+    fn stub_reply(
+        tag: &str,
+        reply: &'static str,
+    ) -> (std::path::PathBuf, std::thread::JoinHandle<()>) {
+        let path = std::env::temp_dir().join(format!(
+            "sling_client_stub_{tag}_{}.sock",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_file(&path);
+        let listener = std::os::unix::net::UnixListener::bind(&path).unwrap();
+        let server = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let mut reader = BufReader::new(stream);
+            let mut request = String::new();
+            reader.read_line(&mut request).unwrap();
+            let mut stream = reader.into_inner();
+            stream.write_all(reply.as_bytes()).unwrap();
+        });
+        (path, server)
+    }
+
+    /// A reply whose count claims 10^12 items but carries one must be
+    /// rejected as malformed, not sized into a 16 TB reservation that
+    /// aborts the client.
+    #[test]
+    fn hostile_counts_are_invalid_data_not_an_abort() {
+        let (path, server) = stub_reply("topk", "OK 1000000000000 1:0.5\n");
+        let mut client = Client::connect_unix(&path).unwrap();
+        let err = client.top_k(0, 5).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        server.join().unwrap();
+        std::fs::remove_file(&path).ok();
+
+        let (path, server) = stub_reply("source", "OK 1000000000000 0.5\n");
+        let mut client = Client::connect_unix(&path).unwrap();
+        let err = client.single_source(0).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        server.join().unwrap();
+        std::fs::remove_file(&path).ok();
+    }
 
     fn server_err(msg: &str) -> io::Error {
         io::Error::new(io::ErrorKind::InvalidData, format!("server error: {msg}"))

@@ -71,7 +71,7 @@
 //! | `SOURCE <u>` | `OK <n> <s0> .. <s_{n-1}>` — full single-source vector (Algorithm 6) |
 //! | `TOPK <u> <k>` | `OK <m> <node>:<score> ..` — top-k most similar to `u`, excluding `u` |
 //! | `BATCH <u1>,<v1> <u2>,<v2> ..` | `OK <m> <s1> .. <sm>` — positionally aligned single-pair scores |
-//! | `STATS` | `OK key=value ..` — workers, per-worker served counts, the serving index generation (`index_generation`, `index_epoch`, `swaps`, `last_swap_unix_ms`), connection gauges (`open_connections`, `idle_connections`, `rejected_connections`), per-worker event-loop counters (`evloop_wakeups`, `evloop_turns`, comma-separated like `per_worker`), cache hits/misses/evictions/hit-rate, and query-latency percentiles (`latency_count`, `latency_p50_us`, `latency_p99_us`, `latency_p999_us`, from per-worker log-bucketed histograms: ~12% resolution, lock-free on the hot path) |
+//! | `STATS` | `OK key=value ..` — workers, per-worker served counts, the serving index generation (`index_generation`, `index_epoch`, `swaps`, `last_swap_unix_ms`), connection gauges (`open_connections`, `idle_connections`, `rejected_connections`), per-worker event-loop counters (`evloop_wakeups`, `evloop_turns`, comma-separated like `per_worker`), cache hits/misses/evictions/hit-rate, query-latency percentiles (`latency_count`, `latency_p50_us`, `latency_p99_us`, `latency_p999_us`, from per-worker log-bucketed histograms: ~12% resolution, lock-free on the hot path), the restore policy the engine chose from its index (`restore=cache` or `restore=stream`, see `SharedEngine::restore_policy`) and `resident_bytes` |
 //! | `METRICS` | `OK <bytes>` then exactly `<bytes>` payload bytes — the full Prometheus text exposition (see *Observability* below) |
 //! | `SLOWLOG` | `OK <bytes>` then exactly `<bytes>` payload bytes — recent slow-query records, one per line, oldest first |
 //! | `RELOAD` | `OK generation=<name> epoch=<e> swapped=<bool>` — check the generation store's `CURRENT` pointer and hot-swap to a newer promoted generation (`swapped=false` on pinned servers or when already current) |

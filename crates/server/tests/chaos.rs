@@ -111,9 +111,10 @@ fn retrying_clients_survive_seeded_connection_faults_bit_identically() {
     let idx = build(&g, 7);
     let n = g.num_nodes() as u32;
     let hot: Vec<(u32, u32)> = (0..24u32).map(|i| (i % n, (i * 7 + 1) % n)).collect();
+    let reference = SharedEngine::from(idx.clone());
     let want: Vec<f64> = hot
         .iter()
-        .map(|&(u, v)| idx.single_pair(&g, NodeId(u), NodeId(v)))
+        .map(|&(u, v)| reference.single_pair(&g, NodeId(u), NodeId(v)).unwrap())
         .collect();
     let (handle, addr) = start_pinned(
         g,
@@ -323,8 +324,12 @@ fn corrupt_generation_rolls_back_and_quarantines() {
     let idx_a = build(&g, 7);
     let idx_b = build(&g, 8);
     let (u, v) = (0u32, 1u32);
-    let score_a = idx_a.single_pair(&g, NodeId(u), NodeId(v));
-    let score_b = idx_b.single_pair(&g, NodeId(u), NodeId(v));
+    let score = |idx: &SlingIndex| {
+        SharedEngine::from(idx.clone())
+            .single_pair(&g, NodeId(u), NodeId(v))
+            .unwrap()
+    };
+    let (score_a, score_b) = (score(&idx_a), score(&idx_b));
     assert_ne!(
         score_a.to_bits(),
         score_b.to_bits(),

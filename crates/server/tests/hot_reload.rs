@@ -74,10 +74,14 @@ fn swap_under_load_answers_from_a_live_generation_only() {
     let mut hot: Vec<(u32, u32)> = Vec::new();
     let mut score_a: Vec<f64> = Vec::new();
     let mut score_b: Vec<f64> = Vec::new();
+    let (ref_a, ref_b) = (
+        SharedEngine::from(idx_a.clone()),
+        SharedEngine::from(idx_b.clone()),
+    );
     for i in 0..64u32 {
         let (u, v) = canon(i % n, (i * 7 + 1) % n);
-        let a = idx_a.single_pair(&g, NodeId(u), NodeId(v));
-        let b = idx_b.single_pair(&g, NodeId(u), NodeId(v));
+        let a = ref_a.single_pair(&g, NodeId(u), NodeId(v)).unwrap();
+        let b = ref_b.single_pair(&g, NodeId(u), NodeId(v)).unwrap();
         if a.to_bits() != b.to_bits() {
             hot.push((u, v));
             score_a.push(a);
@@ -209,8 +213,12 @@ fn watcher_swaps_without_an_explicit_reload() {
     let idx_b = build(&g, 8);
     // A pair the two builds disagree on.
     let (u, v) = (0u32, 1u32);
-    let a = idx_a.single_pair(&g, NodeId(u), NodeId(v));
-    let b = idx_b.single_pair(&g, NodeId(u), NodeId(v));
+    let score = |idx: &SlingIndex| {
+        SharedEngine::from(idx.clone())
+            .single_pair(&g, NodeId(u), NodeId(v))
+            .unwrap()
+    };
+    let (a, b) = (score(&idx_a), score(&idx_b));
     assert_ne!(a.to_bits(), b.to_bits(), "fixture pair must distinguish");
 
     let root = tmp_root("watch");
@@ -298,7 +306,9 @@ fn pinned_server_reload_is_a_noop() {
 fn reload_failures_keep_the_old_generation_serving() {
     let g = fixture();
     let idx = build(&g, 7);
-    let want = idx.single_pair(&g, NodeId(0), NodeId(1));
+    let want = SharedEngine::from(idx.clone())
+        .single_pair(&g, NodeId(0), NodeId(1))
+        .unwrap();
 
     // Nothing promoted: watching_store must refuse to start.
     let empty_root = tmp_root("empty");

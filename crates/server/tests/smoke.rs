@@ -42,16 +42,23 @@ fn concurrent_mixed_traffic_is_bit_identical_to_serial() {
 
     // Serial in-memory references, canonical pair order (the server
     // canonicalizes symmetric pairs before computing).
-    let reference_pair = |u: u32, v: u32| idx.single_pair(&g, NodeId(u.min(v)), NodeId(u.max(v)));
+    let reference = SharedEngine::from(idx.clone());
+    let reference_pair = |u: u32, v: u32| {
+        reference
+            .single_pair(&g, NodeId(u.min(v)), NodeId(u.max(v)))
+            .unwrap()
+    };
     let reference_topk: Vec<Vec<(u32, f64)>> = (0..16u32)
         .map(|u| {
-            idx.top_k_heap(&g, NodeId(u), 5)
+            reference
+                .top_k(&g, NodeId(u), 5)
+                .unwrap()
                 .into_iter()
                 .map(|(v, s)| (v.0, s))
                 .collect()
         })
         .collect();
-    let reference_source = idx.single_source(&g, NodeId(3));
+    let reference_source = reference.single_source(&g, NodeId(3)).unwrap();
 
     let engine: Arc<SharedEngine<_>> = Arc::new(idx.clone().into_shared_engine());
     let handle = serve(
@@ -121,6 +128,9 @@ fn concurrent_mixed_traffic_is_bit_identical_to_serial() {
     assert!(stats.contains("cache=on"), "{stats}");
     assert!(stats.contains("cache_hits="), "{stats}");
     assert!(stats.contains("cache_hit_rate="), "{stats}");
+    // The small fixture's restoring lists fit the restore budget, so
+    // the engine caches them, and STATS says so.
+    assert!(stats.contains(" restore=cache "), "{stats}");
     let hits: u64 = stats
         .split_whitespace()
         .find_map(|kv| kv.strip_prefix("cache_hits=").map(|v| v.parse().unwrap()))
@@ -149,12 +159,13 @@ fn concurrent_mixed_traffic_is_bit_identical_to_serial() {
 #[test]
 fn topk_with_huge_k_answers_and_keeps_the_session() {
     let (g, idx) = setup();
-    let want: Vec<(u32, f64)> = idx
-        .top_k_heap(&g, NodeId(0), g.num_nodes())
+    let engine = Arc::new(SharedEngine::from(idx));
+    let want: Vec<(u32, f64)> = engine
+        .top_k(&g, NodeId(0), g.num_nodes())
+        .unwrap()
         .into_iter()
         .map(|(v, s)| (v.0, s))
         .collect();
-    let engine = Arc::new(SharedEngine::from(idx));
     let handle = serve(
         engine,
         Arc::new(g),
@@ -176,8 +187,8 @@ fn topk_with_huge_k_answers_and_keeps_the_session() {
 #[test]
 fn unix_socket_serving_and_cacheless_mode() {
     let (g, idx) = setup();
-    let want = idx.single_pair(&g, NodeId(1), NodeId(2));
     let engine = Arc::new(SharedEngine::from(idx));
+    let want = engine.single_pair(&g, NodeId(1), NodeId(2)).unwrap();
     let path = std::env::temp_dir().join(format!("sling_server_smoke_{}.sock", std::process::id()));
     let handle = serve(
         engine,
@@ -211,6 +222,7 @@ fn mmap_backend_serves_identically_with_prefetch() {
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("index.slng");
     idx.save(&path).unwrap();
+    let reference = SharedEngine::from(idx.clone());
     let engine = Arc::new(SharedEngine::open_mmap(&g, &path).unwrap());
     // The server's workers prefetch through this trait method; exercise
     // it directly too (advisory, must not affect results).
@@ -230,7 +242,9 @@ fn mmap_backend_serves_identically_with_prefetch() {
     let addr = handle.local_addr().unwrap();
     let mut client = Client::connect_tcp(addr).unwrap();
     for (u, v) in [(0u32, 1u32), (5, 80), (40, 7)] {
-        let want = idx.single_pair(&g, NodeId(u.min(v)), NodeId(u.max(v)));
+        let want = reference
+            .single_pair(&g, NodeId(u.min(v)), NodeId(u.max(v)))
+            .unwrap();
         let got = client.pair(u, v).unwrap();
         assert_eq!(got.to_bits(), want.to_bits(), "mmap-served ({u},{v})");
     }
@@ -281,8 +295,8 @@ fn shutdown_drains_despite_idle_connections() {
 #[test]
 fn idle_connection_cannot_starve_a_single_worker() {
     let (g, idx) = setup();
-    let want = idx.single_pair(&g, NodeId(0), NodeId(1));
     let engine = Arc::new(SharedEngine::from(idx));
+    let want = engine.single_pair(&g, NodeId(0), NodeId(1)).unwrap();
     let handle = serve(
         engine,
         Arc::new(g),
@@ -314,8 +328,8 @@ fn idle_connection_cannot_starve_a_single_worker() {
 #[test]
 fn busy_pipelining_client_cannot_starve_others() {
     let (g, idx) = setup();
-    let want = idx.single_pair(&g, NodeId(0), NodeId(1));
     let engine = Arc::new(SharedEngine::from(idx));
+    let want = engine.single_pair(&g, NodeId(0), NodeId(1)).unwrap();
     let handle = serve(
         engine,
         Arc::new(g),

@@ -15,7 +15,7 @@
 
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
-use sling_simrank::core::{SlingConfig, SlingIndex};
+use sling_simrank::core::{SharedEngine, SlingConfig, SlingIndex};
 use sling_simrank::graph::{edgelist, GraphBuilder, NodeId};
 
 /// Papers per topic community and number of topics.
@@ -66,7 +66,7 @@ fn main() {
     println!("edge list round-tripped through {}", path.display());
 
     let config = SlingConfig::from_epsilon(0.6, 0.05).with_seed(3);
-    let index = SlingIndex::build(&graph, &config).expect("valid config");
+    let index = SharedEngine::from(SlingIndex::build(&graph, &config).expect("valid config"));
 
     // Compare within-topic vs cross-topic similarity over a sample of
     // well-cited pairs (early papers accumulate citations).
@@ -77,7 +77,9 @@ fn main() {
             if a >= b {
                 continue;
             }
-            let s = index.single_pair(&graph, NodeId(a), NodeId(b));
+            let s = index
+                .single_pair(&graph, NodeId(a), NodeId(b))
+                .expect("nodes in range");
             if a % TOPICS == b % TOPICS {
                 within.push(s);
             } else {
@@ -98,7 +100,7 @@ fn main() {
 
     // "Related papers" for one paper via single-source + top-k.
     let query = NodeId(44); // topic 44 % 4 = 0
-    let related = index.top_k(&graph, query, 5);
+    let related = index.top_k(&graph, query, 5).expect("node in range");
     println!(
         "papers most related to paper {query} (topic {}):",
         query.0 % TOPICS

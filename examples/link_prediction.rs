@@ -13,7 +13,7 @@
 
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
-use sling_simrank::core::{SlingConfig, SlingIndex};
+use sling_simrank::core::{SharedEngine, SlingConfig, SlingIndex};
 use sling_simrank::graph::{GraphBuilder, NodeId};
 
 const COMMUNITIES: u32 = 40;
@@ -63,7 +63,7 @@ fn main() {
     );
 
     let config = SlingConfig::from_epsilon(0.6, 0.05).with_seed(1);
-    let index = SlingIndex::build(&graph, &config).expect("valid config");
+    let index = SharedEngine::from(SlingIndex::build(&graph, &config).expect("valid config"));
 
     // For each hidden edge (u, v): does v appear among u's top-k
     // non-neighbor recommendations?
@@ -71,7 +71,9 @@ fn main() {
     let probes = hidden.len().min(200);
     let mut hits = 0usize;
     for &(u, v) in hidden.iter().take(probes) {
-        let ranked = index.top_k(&graph, NodeId(u), k + graph.out_degree(NodeId(u)));
+        let ranked = index
+            .top_k(&graph, NodeId(u), k + graph.out_degree(NodeId(u)))
+            .expect("node in range");
         let recommended: Vec<u32> = ranked
             .into_iter()
             .map(|(w, _)| w.0)

@@ -47,11 +47,13 @@ fn main() {
     // 3. Persist the index and reload it.
     let idx_path = std::env::temp_dir().join("sling_example.idx");
     serial.save(&idx_path).expect("save");
-    let loaded = SlingIndex::load(&graph, &idx_path).expect("load");
+    let loaded = SharedEngine::from(SlingIndex::load(&graph, &idx_path).expect("load"));
+    let serial_bytes = serial.resident_bytes();
+    let serial = SharedEngine::from(serial);
     let (u, v) = (NodeId(17), NodeId(4000));
     assert_eq!(
-        serial.single_pair(&graph, u, v),
-        loaded.single_pair(&graph, u, v)
+        serial.single_pair(&graph, u, v).expect("memory query"),
+        loaded.single_pair(&graph, u, v).expect("memory query")
     );
     println!(
         "index persisted to {} ({} bytes) and reloaded",
@@ -61,12 +63,12 @@ fn main() {
 
     // 4. Disk-resident querying: only O(n) stays in memory.
     let engine = SharedEngine::open_disk(&graph, &idx_path).expect("disk engine");
-    let mem = serial.single_pair(&graph, u, v);
+    let mem = serial.single_pair(&graph, u, v).expect("memory query");
     let disk = engine.single_pair(&graph, u, v).expect("disk query");
     println!(
         "disk engine: {} resident bytes vs {} in-memory; s({u},{v}) = {disk:.5} (memory {mem:.5})",
         engine.resident_bytes(),
-        serial.resident_bytes()
+        serial_bytes
     );
     assert!((mem - disk).abs() < 1e-12);
     std::fs::remove_file(idx_path).ok();

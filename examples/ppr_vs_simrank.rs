@@ -13,7 +13,7 @@
 //! ```
 
 use sling_simrank::core::ppr::{ppr_from_source, ppr_to_target};
-use sling_simrank::core::{SlingConfig, SlingIndex};
+use sling_simrank::core::{SharedEngine, SlingConfig, SlingIndex};
 use sling_simrank::graph::generators::barabasi_albert;
 use sling_simrank::graph::transform::transpose;
 use sling_simrank::graph::NodeId;
@@ -31,8 +31,8 @@ fn main() {
 
     // SimRank top-10 via the SLING index.
     let config = SlingConfig::from_epsilon(C, 0.025).with_seed(5);
-    let index = SlingIndex::build(&graph, &config).expect("valid config");
-    let simrank_top = index.top_k_heap(&graph, anchor, 10);
+    let index = SharedEngine::from(SlingIndex::build(&graph, &config).expect("valid config"));
+    let simrank_top = index.top_k(&graph, anchor, 10).expect("node in range");
 
     // PPR over the same edge direction √c-walks use (in-edges), i.e. on
     // the transpose graph, with matching decay α = √c. Forward power

@@ -5,7 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use sling_simrank::core::{SlingConfig, SlingIndex};
+use sling_simrank::core::{SharedEngine, SlingConfig, SlingIndex};
 use sling_simrank::graph::generators::barabasi_albert;
 use sling_simrank::graph::NodeId;
 
@@ -31,11 +31,15 @@ fn main() {
         index.stats().reduced_nodes,
     );
 
+    // Every query goes through the engine. Converting the index moves
+    // it; the engine picks how to restore §5.2-reduced lists from it.
+    let engine = SharedEngine::from(index);
+
     // Single-pair queries (Algorithm 3): O(1/eps) each.
     let (a, b, c_) = (NodeId(10), NodeId(11), NodeId(1500));
     let start = std::time::Instant::now();
-    let s_ab = index.single_pair(&graph, a, b);
-    let s_ac = index.single_pair(&graph, a, c_);
+    let s_ab = engine.single_pair(&graph, a, b).expect("nodes in range");
+    let s_ac = engine.single_pair(&graph, a, c_).expect("nodes in range");
     println!(
         "s({a}, {b}) = {s_ab:.4}   s({a}, {c_}) = {s_ac:.4}   ({:.1?} for both)",
         start.elapsed()
@@ -43,7 +47,7 @@ fn main() {
 
     // Single-source query (Algorithm 6) + top-k ranking.
     let start = std::time::Instant::now();
-    let top = index.top_k(&graph, a, 5);
+    let top = engine.top_k(&graph, a, 5).expect("node in range");
     println!("top-5 nodes most similar to {a} ({:.2?}):", start.elapsed());
     for (v, s) in top {
         println!("  {v:>6}  s = {s:.4}");

@@ -15,7 +15,7 @@
 
 use sling_simrank::baselines::evidence;
 use sling_simrank::core::join::JoinStrategy;
-use sling_simrank::core::{SlingConfig, SlingIndex};
+use sling_simrank::core::{SharedEngine, SlingConfig, SlingIndex};
 use sling_simrank::graph::generators::preferential_bipartite;
 use sling_simrank::graph::NodeId;
 
@@ -37,13 +37,13 @@ fn main() {
     // Item similarity flows through shared clickers: item <- user -> item.
     let config = SlingConfig::from_epsilon(0.6, 0.025).with_seed(17);
     let start = std::time::Instant::now();
-    let index = SlingIndex::build(&graph, &config).expect("valid config");
+    let index = SharedEngine::from(SlingIndex::build(&graph, &config).expect("valid config"));
     println!("index built in {:.2?}", start.elapsed());
 
     // 1. "Customers who clicked this also clicked" — top-k per item.
     let anchor = NodeId((USERS + 3) as u32);
     let start = std::time::Instant::now();
-    let recs = index.top_k_heap(&graph, anchor, 5);
+    let recs = index.top_k(&graph, anchor, 5).expect("node in range");
     println!(
         "\ntop-5 items similar to item {} ({:.1?}):",
         anchor.0 - USERS as u32,

@@ -7,7 +7,7 @@
 //! ```
 
 use sling_simrank::core::single_source::SingleSourceWorkspace;
-use sling_simrank::core::{SlingConfig, SlingIndex};
+use sling_simrank::core::{QueryWorkspace, SharedEngine, SlingConfig, SlingIndex};
 use sling_simrank::graph::generators::{rmat, RmatConfig};
 use sling_simrank::graph::NodeId;
 
@@ -27,6 +27,7 @@ fn main() {
         index.stats().entries_stored,
         index.resident_bytes()
     );
+    let engine = SharedEngine::from(index);
 
     // Pick a well-connected user.
     let user = (0..graph.num_nodes() as u32)
@@ -38,12 +39,22 @@ fn main() {
     let mut ws = SingleSourceWorkspace::new();
     let mut scores = Vec::new();
     let start = std::time::Instant::now();
-    index.single_source_with(&graph, &mut ws, user, &mut scores);
+    engine
+        .single_source_with(&graph, &mut ws, user, &mut scores)
+        .expect("node in range");
     let alg6 = start.elapsed();
 
     // Algorithm 3 once per node (the straightforward O(n/eps) strategy).
     let start = std::time::Instant::now();
-    let via_pairs = index.single_source_via_pairs(&graph, user);
+    let mut pair_ws = QueryWorkspace::new();
+    let via_pairs: Vec<f64> = graph
+        .nodes()
+        .map(|v| {
+            engine
+                .single_pair_with(&graph, &mut pair_ws, user, v)
+                .expect("node in range")
+        })
+        .collect();
     let alg3 = start.elapsed();
 
     println!("single-source from node {user}: Algorithm 6 {alg6:.2?} vs Algorithm 3xN {alg3:.2?}");
@@ -61,7 +72,7 @@ fn main() {
 
     // Show the recommendations.
     println!("top-10 similar accounts for user {user}:");
-    for (v, s) in index.top_k(&graph, user, 10) {
+    for (v, s) in engine.top_k(&graph, user, 10).expect("node in range") {
         println!("  {v:>7}  s = {s:.4}  (in-degree {})", graph.in_degree(v));
     }
 }

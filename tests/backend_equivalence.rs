@@ -1,10 +1,15 @@
 //! Cross-backend equivalence: every query API must return identical
 //! scores whether the index is served from memory, from a zero-copy mmap,
-//! from a compressed mmap, or from the disk store — and through the
-//! cache-less `SlingIndex` convenience API — including with §5.2 space
-//! reduction and §5.3 accuracy enhancement enabled. Plus hardening
+//! from a compressed mmap, or from the disk store, including with §5.2
+//! space reduction and §5.3 accuracy enhancement enabled. Plus hardening
 //! properties for the mmap path: metadata-only open, and no panic on
 //! mutated bytes.
+//!
+//! Every engine here picks its restore policy from its index, and these
+//! small fixtures all pick the restore cache. The streaming policy is
+//! pinned against the caching one on every backend by
+//! `store::tests::both_restore_policies_agree_on_every_backend` in
+//! sling-core, which can force either policy onto one fixture.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -118,6 +123,7 @@ struct Answers {
     pairs: Vec<f64>,
     sources: Vec<Vec<f64>>,
     top_k: Vec<Vec<(NodeId, f64)>>,
+    approx: Vec<Vec<(NodeId, f64)>>,
     truncated: Vec<(f64, Vec<f64>)>,
     joins: Vec<Vec<(NodeId, NodeId, f64)>>,
     batch: Vec<f64>,
@@ -149,6 +155,10 @@ fn engine_answers<S: HpStore + Sync>(
             .iter()
             .map(|&u| engine.top_k(g, u, 5).unwrap())
             .collect(),
+        approx: sources
+            .iter()
+            .map(|&u| engine.top_k_approx(g, u, 5, TRUNCATION_SLACK).unwrap())
+            .collect(),
         truncated: sources
             .iter()
             .map(|&u| {
@@ -167,56 +177,20 @@ fn engine_answers<S: HpStore + Sync>(
     }
 }
 
-/// The cache-less row: the `SlingIndex` convenience API carries no
-/// `RestoreCache`, so §5.2-reduced nodes stream the two-segment view
-/// where every engine resolves a cached full list.
-fn index_answers(
-    idx: &SlingIndex,
-    g: &DiGraph,
-    pairs: &[(NodeId, NodeId)],
-    sources: &[NodeId],
-) -> Answers {
-    let mut ssw = SingleSourceWorkspace::new();
-    Answers {
-        pairs: pairs
-            .iter()
-            .map(|&(u, v)| idx.single_pair(g, u, v))
-            .collect(),
-        sources: sources.iter().map(|&u| idx.single_source(g, u)).collect(),
-        top_k: sources.iter().map(|&u| idx.top_k_heap(g, u, 5)).collect(),
-        truncated: sources
-            .iter()
-            .map(|&u| {
-                let mut out = Vec::new();
-                let residual =
-                    idx.single_source_truncated(g, &mut ssw, u, TRUNCATION_SLACK, &mut out);
-                (residual, out)
-            })
-            .collect(),
-        joins: JOIN_STRATEGIES
-            .iter()
-            .map(|&s| join_row(idx.threshold_join(g, 0.05, s).unwrap()))
-            .collect(),
-        batch: idx.batch_single_pair(g, pairs, 3),
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig {
         cases: 12,
         ..ProptestConfig::default()
     })]
 
-    /// Single-pair, single-source, top-k, truncated single-source, join,
-    /// and batch answers are bit-identical across the engines over mem /
-    /// mmap / disk — plus the lossless compressed-mmap and
-    /// compressed-disk backends serving `SLNGIDX2` and `SLNGIDX3`
-    /// conversions of the same index — and the cache-less `SlingIndex`
-    /// API, on random graphs across the §5.2/§5.3 feature matrix. Every
-    /// engine carries a `RestoreCache`; the cache-less row is what pins
-    /// the two-segment streaming restore against the cached full lists.
-    /// Per engine, the streaming kernels are also pinned against the
-    /// materializing reference path, warm and cold.
+    /// Single-pair, single-source, top-k, early-terminating top-k,
+    /// truncated single-source, join, and batch answers are bit-identical
+    /// across the engines over mem / mmap / disk — plus the lossless
+    /// compressed-mmap and compressed-disk backends serving `SLNGIDX2`
+    /// and `SLNGIDX3` conversions of the same index — on random graphs
+    /// across the §5.2/§5.3 feature matrix. Per engine, the streaming
+    /// kernels are also pinned against the materializing reference path,
+    /// warm and cold.
     #[test]
     fn all_query_apis_agree_across_backends(
         g in arb_graph(),
@@ -260,10 +234,10 @@ proptest! {
             .collect();
         let sources = [NodeId(0), NodeId(n / 2), NodeId(n - 1)];
 
-        let want = index_answers(&idx, &g, &pairs, &sources);
-        for (label, engine) in &engines {
+        let want = engine_answers(&engines[0].1, &g, &pairs, &sources);
+        for (label, engine) in &engines[1..] {
             let got = engine_answers(engine, &g, &pairs, &sources);
-            prop_assert_eq!(&got, &want, "{} vs the cache-less SlingIndex row", label);
+            prop_assert_eq!(&got, &want, "{} vs the mem row", label);
         }
 
         // Streaming kernels vs the materializing reference path, per
@@ -352,11 +326,9 @@ fn assert_bits_eq(got: &[f64], want: &[f64], what: &str) {
 }
 
 /// TOPK and the per-source threshold join read Algorithm 6's touched
-/// set instead of a dense score vector. On every backend, under both
-/// restore policies (engine with a `RestoreCache`, bare `SlingIndex`
-/// without) and with the exact diagonal on and off, each answer must
-/// equal `select_top_k` or a dense scan over the same engine's SOURCE
-/// row, bit for bit. SOURCE, TOPK, truncated and join calls interleave
+/// set instead of a dense score vector. On every backend and with the
+/// exact diagonal on and off, each answer must equal `select_top_k` or
+/// a dense scan over the same engine's SOURCE row, bit for bit. SOURCE, TOPK, truncated and join calls interleave
 /// on one `SingleSourceWorkspace`, and every SOURCE row on it must
 /// equal a fresh workspace's: an accumulator left dirty by one query
 /// fails the next.
@@ -425,12 +397,6 @@ fn sparse_topk_and_join_match_dense_scans_on_one_workspace() {
                         what("TOPK", u)
                     );
                     assert!(left_empty.is_empty());
-                    assert_eq!(
-                        idx.top_k_heap(&g, u, k),
-                        top,
-                        "{} k={k}",
-                        what("bare TOPK", u)
-                    );
                 }
                 let residual = engine
                     .single_source_truncated(&g, &mut ws, u, SLACK, &mut truncated)
@@ -449,16 +415,12 @@ fn sparse_topk_and_join_match_dense_scans_on_one_workspace() {
                 assert_bits_eq(&truncated, &fresh, &what("truncated", u));
                 for k in ks {
                     assert_eq!(
-                        idx.top_k_approx(&g, u, k, SLACK),
+                        engine.top_k_approx(&g, u, k, SLACK).unwrap(),
                         select_top_k(&truncated, Some(u), k),
                         "{} k={k}",
                         what("approx TOPK", u)
                     );
                 }
-                idx.single_source_with(&g, &mut ws, u, &mut row);
-                assert_bits_eq(&row, &dense, &what("bare SOURCE", u));
-                idx.single_source_truncated(&g, &mut ws, u, SLACK, &mut row);
-                assert_bits_eq(&row, &truncated, &what("bare truncated", u));
             }
             let mut scanned = Vec::new();
             for u in g.nodes() {
@@ -479,12 +441,6 @@ fn sparse_topk_and_join_match_dense_scans_on_one_workspace() {
             joined.sort_unstable_by_key(key);
             scanned.sort_unstable_by_key(key);
             assert_eq!(joined, scanned, "{label} diag={exact_diagonal}: join");
-            let mut bare = join_row(
-                idx.threshold_join(&g, TAU, JoinStrategy::PerSource)
-                    .unwrap(),
-            );
-            bare.sort_unstable_by_key(key);
-            assert_eq!(bare, scanned, "bare diag={exact_diagonal}: join");
         }
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(&v2_path).ok();

@@ -7,6 +7,7 @@
 
 use std::sync::Arc;
 
+use sling_core::hp::HpArena;
 use sling_core::{
     HpStore, MmapHpArena, QueryWorkspace, ShardedResultCache, SharedEngine, SlingConfig, SlingIndex,
 };
@@ -17,7 +18,7 @@ const THREADS: usize = 8;
 
 /// `tag` keeps each test's index file distinct: the tests of this binary
 /// run concurrently, so a shared path would race save/open/remove.
-fn setup(tag: &str) -> (DiGraph, SlingIndex, std::path::PathBuf) {
+fn setup(tag: &str) -> (DiGraph, SharedEngine<HpArena>, std::path::PathBuf) {
     let g = barabasi_albert(250, 3, 17).unwrap();
     let config = SlingConfig::from_epsilon(0.6, 0.1)
         .with_seed(13)
@@ -27,7 +28,7 @@ fn setup(tag: &str) -> (DiGraph, SlingIndex, std::path::PathBuf) {
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join(format!("index_{tag}.slng"));
     idx.save(&path).unwrap();
-    (g, idx, path)
+    (g, SharedEngine::from(idx), path)
 }
 
 /// Deterministic canonical pair workload shared by every scenario.
@@ -94,10 +95,10 @@ fn shared_mmap_engine_matches_serial_in_memory_bitwise() {
     let pairs = pair_workload(n);
     let want_pairs: Vec<f64> = pairs
         .iter()
-        .map(|&(u, v)| idx.single_pair(&g, u, v))
+        .map(|&(u, v)| idx.single_pair(&g, u, v).unwrap())
         .collect();
     let want_topk: Vec<Vec<(NodeId, f64)>> = (0..24u32)
-        .map(|u| idx.top_k_heap(&g, NodeId(u), 7))
+        .map(|u| idx.top_k(&g, NodeId(u), 7).unwrap())
         .collect();
 
     let engine = Arc::new(SharedEngine::open_mmap(&g, &path).unwrap());
@@ -125,12 +126,12 @@ fn owned_in_memory_engine_matches_too() {
     let pairs = pair_workload(n);
     let want_pairs: Vec<f64> = pairs
         .iter()
-        .map(|&(u, v)| idx.single_pair(&g, u, v))
+        .map(|&(u, v)| idx.single_pair(&g, u, v).unwrap())
         .collect();
     let want_topk: Vec<Vec<(NodeId, f64)>> = (0..24u32)
-        .map(|u| idx.top_k_heap(&g, NodeId(u), 7))
+        .map(|u| idx.top_k(&g, NodeId(u), 7).unwrap())
         .collect();
-    let engine = Arc::new(idx.into_shared_engine());
+    let engine = Arc::new(idx);
     let cache = ShardedResultCache::with_capacity(1 << 12);
     hammer(&engine, &g, &pairs, &want_pairs, &want_topk, Some(&cache));
     std::fs::remove_file(&path).ok();
@@ -143,9 +144,9 @@ fn cached_batches_agree_across_backends_and_threads() {
     let pairs = pair_workload(n);
     let want: Vec<f64> = pairs
         .iter()
-        .map(|&(u, v)| idx.single_pair(&g, u, v))
+        .map(|&(u, v)| idx.single_pair(&g, u, v).unwrap())
         .collect();
-    let mem = idx.into_shared_engine();
+    let mem = idx;
     let mmap = SharedEngine::open_mmap(&g, &path).unwrap();
     for threads in [1, THREADS] {
         let cache = ShardedResultCache::new(1 << 10, 8);

@@ -2,7 +2,7 @@
 //! against the power-method ground truth, on a zoo of graph shapes.
 
 use sling_simrank::baselines::power_simrank;
-use sling_simrank::core::{QueryWorkspace, SlingConfig, SlingIndex};
+use sling_simrank::core::{QueryWorkspace, SharedEngine, SlingConfig, SlingIndex};
 use sling_simrank::graph::generators::{
     barabasi_albert, complete_graph, cycle_graph, erdos_renyi_directed, rmat, star_graph,
     two_cliques_bridge, RmatConfig,
@@ -26,16 +26,16 @@ fn zoo() -> Vec<(&'static str, DiGraph)> {
 fn check_graph(name: &str, g: &DiGraph, config: &SlingConfig) {
     let eps = config.epsilon;
     let truth = power_simrank(g, C, 60);
-    let idx = SlingIndex::build(g, config).unwrap();
+    let idx = SharedEngine::from(SlingIndex::build(g, config).unwrap());
     let mut ws = QueryWorkspace::new();
     let mut worst_pair = 0.0f64;
     for u in g.nodes() {
         // Single-source (Algorithm 6) and single-pair (Algorithm 3) both
         // within eps of ground truth.
-        let row = idx.single_source(g, u);
+        let row = idx.single_source(g, u).unwrap();
         for v in g.nodes() {
             let t = truth.get(u.index(), v.index());
-            let sp = idx.single_pair_with(g, &mut ws, u, v);
+            let sp = idx.single_pair_with(g, &mut ws, u, v).unwrap();
             let ss = row[v.index()];
             worst_pair = worst_pair.max((sp - t).abs());
             assert!(
@@ -90,16 +90,18 @@ fn tighter_epsilon_tightens_observed_error() {
     let truth = power_simrank(&g, C, 60);
     let mut errors = Vec::new();
     for eps in [0.2, 0.05] {
-        let idx = SlingIndex::build(
-            &g,
-            &SlingConfig::from_epsilon(C, eps)
-                .with_seed(7)
-                .with_exact_diagonal(false),
-        )
-        .unwrap();
+        let idx = SharedEngine::from(
+            SlingIndex::build(
+                &g,
+                &SlingConfig::from_epsilon(C, eps)
+                    .with_seed(7)
+                    .with_exact_diagonal(false),
+            )
+            .unwrap(),
+        );
         let mut worst = 0.0f64;
         for u in g.nodes() {
-            let row = idx.single_source(&g, u);
+            let row = idx.single_source(&g, u).unwrap();
             for v in g.nodes() {
                 worst = worst.max((row[v.index()] - truth.get(u.index(), v.index())).abs());
             }

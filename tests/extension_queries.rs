@@ -5,6 +5,7 @@
 
 use sling_simrank::baselines::{power_simrank, top_k_pairs};
 use sling_simrank::core::dynamic::{DynamicConfig, DynamicSling, StalePolicy};
+use sling_simrank::core::hp::HpArena;
 use sling_simrank::core::join::JoinStrategy;
 use sling_simrank::core::{
     QueryWorkspace, ShardedResultCache, SharedEngine, SlingConfig, SlingIndex,
@@ -15,8 +16,12 @@ use sling_simrank::graph::{DiGraph, NodeId};
 const C: f64 = 0.6;
 const EPS: f64 = 0.05;
 
-fn build(g: &DiGraph, seed: u64) -> SlingIndex {
+fn index(g: &DiGraph, seed: u64) -> SlingIndex {
     SlingIndex::build(g, &SlingConfig::from_epsilon(C, EPS).with_seed(seed)).unwrap()
+}
+
+fn build(g: &DiGraph, seed: u64) -> SharedEngine<HpArena> {
+    SharedEngine::from(index(g, seed))
 }
 
 #[test]
@@ -25,7 +30,7 @@ fn topk_ranking_matches_ground_truth_up_to_eps_ties() {
     let idx = build(&g, 1);
     let truth = power_simrank(&g, C, 60);
     for u in g.nodes() {
-        let top = idx.top_k_heap(&g, u, 5);
+        let top = idx.top_k(&g, u, 5).unwrap();
         // Every reported score is within eps of truth, and no unreported
         // node truly beats a reported one by more than 2*eps.
         let floor = top.last().map(|&(_, s)| s).unwrap_or(0.0);
@@ -120,12 +125,13 @@ fn dynamic_wrapper_tracks_fresh_index_through_churn() {
 #[test]
 fn cached_disk_and_memory_paths_agree() {
     let g = barabasi_albert(150, 3, 13).unwrap();
-    let idx = build(&g, 5);
+    let idx = index(&g, 5);
     let dir = std::env::temp_dir().join(format!("sling_ext_test_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     idx.save(dir.join("hp.bin")).unwrap();
     let disk = SharedEngine::open_disk(&g, dir.join("hp.bin")).unwrap();
-    let mem = SharedEngine::from(idx.clone());
+    let idx = SharedEngine::from(idx);
+    let mem = &idx;
     let cache = ShardedResultCache::new(256, 1);
     let mut ws = QueryWorkspace::new();
     let sc = C.sqrt();
@@ -136,7 +142,7 @@ fn cached_disk_and_memory_paths_agree() {
     let slack = 2.0 * sc * theta / ((1.0 - sc) * (1.0 - C)) + 1e-9;
     for i in 0..40u32 {
         let (u, v) = (NodeId(i * 3 % 150), NodeId((i * 7 + 1) % 150));
-        let memory = idx.single_pair(&g, u, v);
+        let memory = idx.single_pair(&g, u, v).unwrap();
         let cached = mem.single_pair_cached(&g, &mut ws, &cache, u, v).unwrap();
         let disk = disk.single_pair(&g, u, v).unwrap();
         assert!((memory - cached).abs() < 1e-12);
@@ -150,10 +156,14 @@ fn cached_disk_and_memory_paths_agree() {
 #[test]
 fn serialized_index_answers_extension_queries_identically() {
     let g = watts_strogatz(100, 2, 0.1, 9).unwrap();
-    let idx = build(&g, 6);
-    let restored = SlingIndex::from_bytes(&g, &idx.to_bytes()).unwrap();
+    let built = index(&g, 6);
+    let restored = SharedEngine::from(SlingIndex::from_bytes(&g, &built.to_bytes()).unwrap());
+    let idx = SharedEngine::from(built);
     for u in [NodeId(0), NodeId(33), NodeId(99)] {
-        assert_eq!(idx.top_k_heap(&g, u, 10), restored.top_k_heap(&g, u, 10));
+        assert_eq!(
+            idx.top_k(&g, u, 10).unwrap(),
+            restored.top_k(&g, u, 10).unwrap()
+        );
     }
     let a = idx
         .threshold_join(&g, 0.05, JoinStrategy::InvertedLists)

@@ -3,15 +3,15 @@
 //! bound on the materialized index.
 
 use sling_simrank::baselines::power_simrank;
-use sling_simrank::core::{SlingConfig, SlingIndex};
+use sling_simrank::core::{SharedEngine, SlingConfig, SlingIndex};
 use sling_simrank::graph::generators::{barabasi_albert, star_graph};
 use sling_simrank::graph::{DiGraph, GraphBuilder, NodeId};
 
 fn assert_within_eps(g: &DiGraph, c: f64, config: &SlingConfig) {
     let truth = power_simrank(g, c, 80);
-    let idx = SlingIndex::build(g, config).unwrap();
+    let idx = SharedEngine::from(SlingIndex::build(g, config).unwrap());
     for u in g.nodes() {
-        let row = idx.single_source(g, u);
+        let row = idx.single_source(g, u).unwrap();
         for v in g.nodes() {
             let err = (row[v.index()] - truth.get(u.index(), v.index())).abs();
             assert!(err <= config.epsilon, "c={c}: err {err} at ({u:?},{v:?})");
@@ -69,8 +69,8 @@ fn star_of_stars_dangling_cascade() {
     }
     let g = b.build().unwrap();
     let config = SlingConfig::from_epsilon(0.6, 0.05).with_seed(2);
-    let idx = SlingIndex::build(&g, &config).unwrap();
-    assert_eq!(idx.single_pair(&g, NodeId(1), NodeId(2)), 0.0);
+    let idx = SharedEngine::from(SlingIndex::build(&g, &config).unwrap());
+    assert_eq!(idx.single_pair(&g, NodeId(1), NodeId(2)).unwrap(), 0.0);
     assert_within_eps(&g, 0.6, &config);
 }
 
@@ -132,9 +132,10 @@ fn disconnected_components_never_mix() {
     let g = b.build().unwrap();
     let config = SlingConfig::from_epsilon(0.6, 0.1).with_seed(1);
     let idx = SlingIndex::build(&g, &config).unwrap();
+    let engine = SharedEngine::from(idx.clone());
     for u in 0..k {
         for v in k..2 * k {
-            assert_eq!(idx.single_pair(&g, NodeId(u), NodeId(v)), 0.0);
+            assert_eq!(engine.single_pair(&g, NodeId(u), NodeId(v)).unwrap(), 0.0);
         }
         for e in idx.stored_entries(NodeId(u)) {
             assert!(e.node.0 < k, "H({u}) references other component");

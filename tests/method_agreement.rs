@@ -8,24 +8,26 @@ use sling_simrank::baselines::monte_carlo::McIndex;
 use sling_simrank::baselines::{
     grouped_errors, max_error, power_simrank, top_k_precision, DenseMatrix, McSqrtIndex,
 };
-use sling_simrank::core::{SlingConfig, SlingIndex};
+use sling_simrank::core::{SharedEngine, SlingConfig, SlingIndex};
 use sling_simrank::graph::generators::barabasi_albert;
 use sling_simrank::graph::{DiGraph, NodeId};
 
 const C: f64 = 0.6;
 
 fn sling_matrix(g: &DiGraph, eps: f64, seed: u64) -> DenseMatrix {
-    let idx = SlingIndex::build(
-        g,
-        &SlingConfig::from_epsilon(C, eps)
-            .with_seed(seed)
-            .with_exact_diagonal(false),
-    )
-    .unwrap();
+    let idx = SharedEngine::from(
+        SlingIndex::build(
+            g,
+            &SlingConfig::from_epsilon(C, eps)
+                .with_seed(seed)
+                .with_exact_diagonal(false),
+        )
+        .unwrap(),
+    );
     let n = g.num_nodes();
     let mut m = DenseMatrix::zeros(n);
     for u in g.nodes() {
-        let row = idx.single_source(g, u);
+        let row = idx.single_source(g, u).unwrap();
         m.row_mut(u.index()).copy_from_slice(&row);
     }
     m

@@ -49,13 +49,14 @@ fn save_load_disk_store_agree_on_larger_graph() {
 
     let idx_path = tmp("index.bin");
     idx.save(&idx_path).unwrap();
-    let loaded = SlingIndex::load(&g, &idx_path).unwrap();
+    let loaded = SharedEngine::from(SlingIndex::load(&g, &idx_path).unwrap());
+    let idx = SharedEngine::from(idx);
 
     let disk = SharedEngine::open_disk(&g, &idx_path).unwrap();
 
     for (u, v) in [(0u32, 1u32), (17, 940), (500, 501), (999, 0), (3, 3)] {
-        let a = idx.single_pair(&g, NodeId(u), NodeId(v));
-        let b = loaded.single_pair(&g, NodeId(u), NodeId(v));
+        let a = idx.single_pair(&g, NodeId(u), NodeId(v)).unwrap();
+        let b = loaded.single_pair(&g, NodeId(u), NodeId(v)).unwrap();
         assert_eq!(a, b, "persisted index disagrees at ({u},{v})");
         // The disk store persists the §5.3 marks along with everything
         // else, so it answers bit-identically to the enhanced in-memory
@@ -81,9 +82,9 @@ fn medium_graph_smoke_build_and_query() {
     // A quick sanity pass at the scale the benchmark harness uses.
     let g = rmat(13, 50_000, RmatConfig::default(), 3).unwrap();
     let config = SlingConfig::from_epsilon(0.6, 0.2).with_seed(2);
-    let idx = SlingIndex::build(&g, &config).unwrap();
+    let idx = SharedEngine::from(SlingIndex::build(&g, &config).unwrap());
     assert!(idx.stats().entries_stored > g.num_nodes()); // at least step-0 entries
-    let scores = idx.single_source(&g, NodeId(42));
+    let scores = idx.single_source(&g, NodeId(42)).unwrap();
     assert_eq!(scores.len(), g.num_nodes());
     assert_eq!(scores[42], 1.0);
     assert!(scores.iter().all(|&s| (0.0..=1.0).contains(&s)));

@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use sling_simrank::baselines::power_simrank;
 use sling_simrank::core::reference::exact_hp_to_target;
-use sling_simrank::core::{QueryWorkspace, SlingConfig, SlingIndex};
+use sling_simrank::core::{QueryWorkspace, SharedEngine, SlingConfig, SlingIndex};
 use sling_simrank::graph::{DiGraph, GraphBuilder, NodeId};
 
 const C: f64 = 0.6;
@@ -37,12 +37,12 @@ proptest! {
         let config = SlingConfig::from_epsilon(C, eps)
             .with_seed(seed)
             .with_exact_diagonal(false);
-        let idx = SlingIndex::build(&g, &config).unwrap();
+        let idx = SharedEngine::from(SlingIndex::build(&g, &config).unwrap());
         let truth = power_simrank(&g, C, 60);
         let mut ws = QueryWorkspace::new();
         for u in g.nodes() {
             for v in g.nodes() {
-                let est = idx.single_pair_with(&g, &mut ws, u, v);
+                let est = idx.single_pair_with(&g, &mut ws, u, v).unwrap();
                 let t = truth.get(u.index(), v.index());
                 prop_assert!((est - t).abs() <= eps,
                     "({u:?},{v:?}): est {est} truth {t}");
@@ -54,12 +54,12 @@ proptest! {
     #[test]
     fn estimates_symmetric_and_bounded(g in arb_graph(), seed in 0u64..1000) {
         let config = SlingConfig::from_epsilon(C, 0.1).with_seed(seed);
-        let idx = SlingIndex::build(&g, &config).unwrap();
+        let idx = SharedEngine::from(SlingIndex::build(&g, &config).unwrap());
         let mut ws = QueryWorkspace::new();
         for u in g.nodes() {
             for v in g.nodes() {
-                let a = idx.single_pair_with(&g, &mut ws, u, v);
-                let b = idx.single_pair_with(&g, &mut ws, v, u);
+                let a = idx.single_pair_with(&g, &mut ws, u, v).unwrap();
+                let b = idx.single_pair_with(&g, &mut ws, v, u).unwrap();
                 prop_assert!((a - b).abs() < 1e-12);
                 prop_assert!((0.0..=1.0).contains(&a));
             }
@@ -99,12 +99,16 @@ proptest! {
     #[test]
     fn single_source_consistent_with_pairs(g in arb_graph(), seed in 0u64..1000) {
         let config = SlingConfig::from_epsilon(C, 0.1).with_seed(seed);
-        let idx = SlingIndex::build(&g, &config).unwrap();
+        let idx = SharedEngine::from(SlingIndex::build(&g, &config).unwrap());
+        let mut ws = QueryWorkspace::new();
         let sc = C.sqrt();
         let slack = 2.0 * sc * config.theta / ((1.0 - sc) * (1.0 - C)) + 1e-9;
         for u in g.nodes() {
-            let a6 = idx.single_source(&g, u);
-            let a3 = idx.single_source_via_pairs(&g, u);
+            let a6 = idx.single_source(&g, u).unwrap();
+            let a3: Vec<f64> = g
+                .nodes()
+                .map(|v| idx.single_pair_with(&g, &mut ws, u, v).unwrap())
+                .collect();
             for v in g.nodes() {
                 prop_assert!((a6[v.index()] - a3[v.index()]).abs() <= slack);
             }
@@ -163,9 +167,10 @@ proptest! {
 #[test]
 fn isolated_nodes_only() {
     let g = GraphBuilder::with_nodes(5).build().unwrap();
-    let idx = SlingIndex::build(&g, &SlingConfig::from_epsilon(C, 0.1)).unwrap();
-    assert_eq!(idx.single_pair(&g, NodeId(0), NodeId(1)), 0.0);
-    assert_eq!(idx.single_pair(&g, NodeId(2), NodeId(2)), 1.0);
-    let row = idx.single_source(&g, NodeId(3));
+    let idx =
+        SharedEngine::from(SlingIndex::build(&g, &SlingConfig::from_epsilon(C, 0.1)).unwrap());
+    assert_eq!(idx.single_pair(&g, NodeId(0), NodeId(1)).unwrap(), 0.0);
+    assert_eq!(idx.single_pair(&g, NodeId(2), NodeId(2)).unwrap(), 1.0);
+    let row = idx.single_source(&g, NodeId(3)).unwrap();
     assert_eq!(row, vec![0.0, 0.0, 0.0, 1.0, 0.0]);
 }

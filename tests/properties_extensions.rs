@@ -4,7 +4,8 @@
 use proptest::prelude::*;
 use sling_simrank::core::dynamic::{DynamicConfig, DynamicSling, StalePolicy};
 use sling_simrank::core::join::JoinStrategy;
-use sling_simrank::core::{SlingConfig, SlingIndex};
+use sling_simrank::core::topk::select_top_k;
+use sling_simrank::core::{SharedEngine, SlingConfig, SlingIndex};
 use sling_simrank::graph::transform::{induced_subgraph, k_core, largest_wcc, transpose};
 use sling_simrank::graph::traversal::{bfs_distances, Direction, UNREACHABLE};
 use sling_simrank::graph::{binfmt, DiGraph, GraphBuilder, NodeId};
@@ -55,20 +56,22 @@ proptest! {
     /// descending and every omitted node scores no higher than the floor.
     #[test]
     fn topk_is_a_true_prefix(g in arb_graph(), seed in 0u64..500, k in 1usize..6) {
-        let idx = SlingIndex::build(&g, &SlingConfig::from_epsilon(C, 0.1).with_seed(seed)).unwrap();
+        let idx = SharedEngine::from(
+            SlingIndex::build(&g, &SlingConfig::from_epsilon(C, 0.1).with_seed(seed)).unwrap(),
+        );
         for u in g.nodes() {
-            let top = idx.top_k_heap(&g, u, k);
+            let top = idx.top_k(&g, u, k).unwrap();
             prop_assert!(top.windows(2).all(|w| w[0].1 >= w[1].1));
             prop_assert!(top.len() <= k);
-            let scores = idx.single_source(&g, u);
+            let scores = idx.single_source(&g, u).unwrap();
             let floor = top.last().map(|&(_, s)| s).unwrap_or(0.0);
             for v in g.nodes() {
                 if v != u && !top.iter().any(|&(w, _)| w == v) {
                     prop_assert!(scores[v.index()] <= floor + 1e-12);
                 }
             }
-            // And heap agrees with the sort-based selection exactly.
-            prop_assert_eq!(top, idx.top_k(&g, u, k));
+            // And the touched-set heap agrees with a dense selection.
+            prop_assert_eq!(top, select_top_k(&scores, Some(u), k));
         }
     }
 
@@ -76,7 +79,9 @@ proptest! {
     /// and every emitted score is >= tau.
     #[test]
     fn join_output_is_canonical(g in arb_graph(), seed in 0u64..500) {
-        let idx = SlingIndex::build(&g, &SlingConfig::from_epsilon(C, 0.1).with_seed(seed)).unwrap();
+        let idx = SharedEngine::from(
+            SlingIndex::build(&g, &SlingConfig::from_epsilon(C, 0.1).with_seed(seed)).unwrap(),
+        );
         let tau = 0.05;
         for strategy in [JoinStrategy::PerSource, JoinStrategy::InvertedLists] {
             let pairs = idx.threshold_join(&g, tau, strategy).unwrap();
@@ -114,12 +119,12 @@ proptest! {
             }
         }
         let current = dynamic.current_graph().clone();
-        let fresh = SlingIndex::build(&current, &base).unwrap();
+        let fresh = SharedEngine::from(SlingIndex::build(&current, &base).unwrap());
         for u in current.nodes() {
             for v in current.nodes() {
                 prop_assert_eq!(
                     dynamic.single_pair(u, v).unwrap(),
-                    fresh.single_pair(&current, u, v)
+                    fresh.single_pair(&current, u, v).unwrap()
                 );
             }
         }
@@ -189,10 +194,11 @@ proptest! {
     ) {
         let idx = SlingIndex::build(&g, &SlingConfig::from_epsilon(C, 0.1).with_seed(seed)).unwrap();
         let bytes = idx.to_bytes();
-        let back = SlingIndex::from_bytes(&g, &bytes).unwrap();
+        let back = SharedEngine::from(SlingIndex::from_bytes(&g, &bytes).unwrap());
+        let idx = SharedEngine::from(idx);
         for u in g.nodes() {
             for v in g.nodes() {
-                prop_assert_eq!(idx.single_pair(&g, u, v), back.single_pair(&g, u, v));
+                prop_assert_eq!(idx.single_pair(&g, u, v).unwrap(), back.single_pair(&g, u, v).unwrap());
             }
         }
 
@@ -200,12 +206,12 @@ proptest! {
         if !corrupt.is_empty() {
             let pos = flip % corrupt.len();
             corrupt[pos] ^= 1 << bit;
-            if let Ok(decoded) = SlingIndex::from_bytes(&g, &corrupt) {
+            if let Ok(decoded) = SlingIndex::from_bytes(&g, &corrupt).map(SharedEngine::from) {
                 // Corruption in a float payload can survive decoding; the
                 // query path must still produce clamped finite scores.
                 let u = NodeId(0);
                 for v in g.nodes() {
-                    let s = decoded.single_pair(&g, u, v);
+                    let s = decoded.single_pair(&g, u, v).unwrap();
                     prop_assert!(s.is_finite() && (0.0..=1.0).contains(&s), "score {s}");
                 }
             }
